@@ -10,6 +10,7 @@ from .core import (
     default_b,
     dsbo_round,
     init_agents,
+    neumann_apply,
     neumann_chain,
 )
 from .baselines import CentralState, dbsa_run, dsgd_run, fedsbo_round, init_central, sgd_eta

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StepSchedule, neumann_chain
+from .core import StepSchedule, hypergrad_estimate, neumann_apply, neumann_chain
 from .errors import DivergenceError, UnsupportedProblemError
 from .rng import agent_round_streams, stream
 from .topology import MixingMatrix
@@ -38,7 +38,7 @@ class CentralState:
     h: np.ndarray
     u: np.ndarray
     v: np.ndarray  # (b, d_y, d_y)
-    q: np.ndarray
+    q: np.ndarray  # (d_y,) Neumann product Q_b(v) h / l_g, as in AgentState
 
 
 def init_central(problem, b: int) -> CentralState:
@@ -75,7 +75,8 @@ def fedsbo_round(
     else:
         samples = list(pool.map(draw, range(n_agents)))
 
-    z = central.s - central.u @ (central.q @ central.h)
+    # 1-row batches through the gossip kernels keep K = 1 bitwise equal.
+    z = hypergrad_estimate(central.s[None], central.u[None], central.q[None])[0]
     new_x = central.x - alpha * z
     new_y = central.y - gamma * np.mean([sm.gy_g for sm in samples], axis=0)
     new_s = (1.0 - beta) * central.s + beta * np.mean([sm.gx_f for sm in samples], axis=0)
@@ -84,7 +85,7 @@ def fedsbo_round(
     new_v = (1.0 - beta) * central.v + beta * np.mean(
         [sm.hyy_g_draws for sm in samples], axis=0
     )
-    new_q = neumann_chain(new_v, problem.constants.l_g)
+    new_q = neumann_apply(new_v[None], new_h[None], problem.constants.l_g)[0]
 
     for name, arr in (
         ("x", new_x), ("y", new_y), ("s", new_s),

@@ -4,13 +4,15 @@ Each round, every agent queries the oracle at its own iterate, then all
 agents simultaneously apply: one gossip step on every state quantity,
 a descent step on x driven by the assembled hypergradient estimate
 
-    z = s - u (q h),
+    z = s - u q,
 
 an inner descent step on y, and weighted-average refreshes of the four
 estimators (s for the outer x-gradient, h for the outer y-gradient,
-u for the cross Hessian, v_1..v_b for the inner Hessian).  q applies a
-truncated Neumann series to the v matrices to approximate the inverse
-inner Hessian.
+u for the cross Hessian, v_1..v_b for the inner Hessian).  q is the
+(d_y,) vector Q_b(v) h / l_g: a truncated Neumann series in the v
+matrices, approximating the inverse inner Hessian, applied to h.  It is
+computed matrix-free by ``neumann_apply`` in O(b d_y^2) per agent; the
+d_y x d_y matrix ``neumann_chain`` builds is never formed in a round.
 
 All right-hand sides read the round-t snapshot, so agents can be
 evaluated in any order or in parallel without changing a single bit of
@@ -27,9 +29,6 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .topology import MixingMatrix
 
-_STATE_FIELDS = ("x", "y", "s", "h", "u", "v", "q")
-
-
 @dataclass(frozen=True)
 class AgentState:
     """One agent's iterates and estimators at a fixed round."""
@@ -40,7 +39,7 @@ class AgentState:
     h: np.ndarray
     u: np.ndarray
     v: np.ndarray  # (b, d_y, d_y) stack of inner-Hessian estimators
-    q: np.ndarray
+    q: np.ndarray  # (d_y,) Neumann product Q_b(v) h / l_g read by the next z
 
 
 @dataclass(frozen=True)
@@ -154,13 +153,39 @@ def neumann_chain(v_list, l_g: float) -> np.ndarray:
     return q / l_g
 
 
+def neumann_apply(v, h, l_g: float) -> np.ndarray:
+    """Batched matrix-free Neumann product: row k is neumann_chain(v[k]) @ h[k].
+
+    v is a (K, b, d, d) stack of Hessian estimates and h a (K, d) stack of
+    vectors.  Runs r_0 = h, r_i = h + r_{i-1} - v_i r_{i-1} / l_g and
+    returns r_b / l_g, one (K, d, d) @ (K, d, 1) product per depth step.
+    """
+    v = np.asarray(v, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if v.ndim != 4 or v.shape[1] == 0 or v.shape[2] != v.shape[3]:
+        raise ConfigError(
+            f"v must be a (K, b, d, d) stack with b >= 1, got shape {v.shape}"
+        )
+    if h.shape != (v.shape[0], v.shape[2]):
+        raise ConfigError(f"h must have shape {(v.shape[0], v.shape[2])}, got {h.shape}")
+    h_col = h[:, :, None]
+    r = h_col
+    for i in range(v.shape[1]):
+        r = h_col + r - (v[:, i] @ r) / l_g
+    return r[:, :, 0] / l_g
+
+
+def hypergrad_estimate(s, u, q) -> np.ndarray:
+    """Batched z_k = s_k - u_k q_k over the leading agent axis."""
+    return s - (u @ q[:, :, None])[:, :, 0]
+
+
 def init_agents(problem, b: int) -> list[AgentState]:
-    """All-zero iterates; v seeded at mu_g*I so q starts well-defined."""
+    """All-zero iterates; v seeded at mu_g*I, so q = Q_b(v) h / l_g = 0."""
     if b < 1:
         raise ConfigError(f"Neumann depth b must be >= 1, got {b}")
     consts = problem.constants
     v0 = np.broadcast_to(consts.mu_g * np.eye(consts.d_y), (b, consts.d_y, consts.d_y)).copy()
-    q0 = neumann_chain(v0, consts.l_g)
     return [
         AgentState(
             x=np.zeros(consts.d_x),
@@ -169,7 +194,7 @@ def init_agents(problem, b: int) -> list[AgentState]:
             h=np.zeros(consts.d_y),
             u=np.zeros((consts.d_x, consts.d_y)),
             v=v0.copy(),
-            q=q0.copy(),
+            q=np.zeros(consts.d_y),
         )
         for _ in range(problem.k)
     ]
@@ -213,8 +238,9 @@ def dsbo_round(
     hs = np.stack([st.h for st in states])
     us = np.stack([st.u for st in states])
     vs = np.stack([st.v for st in states])
+    qs = np.stack([st.q for st in states])
 
-    zs = np.stack([st.s - st.u @ (st.q @ st.h) for st in states])
+    zs = hypergrad_estimate(ss, us, qs)
     new_x = np.tensordot(mat, xs, axes=(1, 0)) - alpha * zs
     new_y = np.tensordot(mat, ys, axes=(1, 0)) - gamma * np.stack([sm.gy_g for sm in samples])
     new_s = (1.0 - beta) * np.tensordot(mat, ss, axes=(1, 0)) + beta * np.stack(
@@ -229,8 +255,7 @@ def dsbo_round(
     new_v = (1.0 - beta) * np.tensordot(mat, vs, axes=(1, 0)) + beta * np.stack(
         [sm.hyy_g_draws for sm in samples]
     )
-    l_g = problem.constants.l_g
-    new_q = np.stack([neumann_chain(new_v[agent], l_g) for agent in range(n_agents)])
+    new_q = neumann_apply(new_v, new_h, problem.constants.l_g)
 
     check_finite(
         (

@@ -15,6 +15,7 @@ so the entire hypergradient flows through the inner solution.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import expit
 
 from ..errors import ConfigError, NumericsError
 from .base import (
@@ -27,12 +28,7 @@ from .base import (
 
 
 def sigmoid(t):
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    expt = np.exp(t[~pos])
-    out[~pos] = expt / (1.0 + expt)
-    return out
+    return expit(t)
 
 
 def softplus(t):
@@ -47,7 +43,7 @@ def logistic_loss(y, w, z) -> float:
 
 def logistic_grad(y, w, z) -> np.ndarray:
     t = float(np.dot(w, y))
-    return (float(sigmoid(np.array([t]))[0]) - z) * np.asarray(w, dtype=float)
+    return (float(expit(t)) - z) * np.asarray(w, dtype=float)
 
 
 class HyperoptBilevel(BilevelProblem):
@@ -94,6 +90,8 @@ class HyperoptBilevel(BilevelProblem):
         )
         self._spec_lo = self.constants.l_g * self.constants.kappa_g
         self._spec_hi = self.constants.l_g * (2.0 - self.constants.kappa_g)
+        # One-entry memo of exact_lower: (x bytes, read-only y*(x)).
+        self._lower_memo: tuple[bytes, np.ndarray] | None = None
 
     def _reg_weights(self, x):
         return softplus(x) + self.lam_min
@@ -152,6 +150,24 @@ class HyperoptBilevel(BilevelProblem):
         return acc / self.k
 
     def exact_lower(self, x):
+        """Damped-Newton y*(x), memoized for the last x (returned read-only).
+
+        A record evaluates the hypergradient, the objective and the
+        estimator errors at the same x, and each L-BFGS evaluation of the
+        reference solve asks for the objective and its gradient there:
+        all of them share one solve.
+        """
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        memo = self._lower_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        y = self._newton_lower(x)
+        y.setflags(write=False)
+        self._lower_memo = (key, y)
+        return y
+
+    def _newton_lower(self, x):
         y = np.zeros(self.d_y)
         for _ in range(100):
             grad = self._full_inner_grad(x, y)

@@ -1,10 +1,14 @@
 """Round updates, Neumann inversion, schedules, and divergence detection."""
 
+import dataclasses
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dsbo import (
     ConfigError,
@@ -17,6 +21,7 @@ from dsbo import (
     dsbo_round,
     init_agents,
     make_quadratic,
+    neumann_apply,
     neumann_chain,
 )
 
@@ -96,6 +101,50 @@ class TestNeumannChain:
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
             neumann_chain([], 1.0)
+
+
+class TestNeumannApply:
+    @given(hst.integers(1, 4), hst.integers(1, 8), hst.integers(1, 6),
+           hst.floats(0.05, 1.0), hst.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_agent_chain(self, k, b, d, kappa, seed):
+        # symmetric draws with spectrum in [kappa*l_g, (2-kappa)*l_g], i.e.
+        # ||I - v/l_g||_2 <= 1 - kappa: inside the spectral ball
+        rng = np.random.default_rng(seed)
+        l_g = rng.uniform(0.5, 3.0)
+        basis, _ = np.linalg.qr(rng.standard_normal((k, b, d, d)))
+        evals = rng.uniform(kappa * l_g, (2.0 - kappa) * l_g, (k, b, d))
+        v = np.einsum("kbij,kbj,kblj->kbil", basis, evals, basis)
+        h = rng.standard_normal((k, d))
+        got = neumann_apply(v, h, l_g)
+        assert got.shape == (k, d)
+        for agent in range(k):
+            expect = neumann_chain(v[agent], l_g) @ h[agent]
+            assert np.allclose(got[agent], expect, rtol=1e-12, atol=0.0)
+
+    def test_frozen_scalar_value(self):
+        v = np.full((1, 10, 1, 1), 0.5)
+        assert neumann_apply(v, np.ones((1, 1)), 1.0)[0, 0] == NEUMANN_SCALAR_10
+
+    def test_allocates_no_depth_sized_temporary(self):
+        rng = np.random.default_rng(4)
+        v = np.broadcast_to(0.5 * np.eye(8), (3, 60, 8, 8)).copy()
+        h = rng.standard_normal((3, 8))
+        tracemalloc.start()
+        try:
+            neumann_apply(v, h, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < v[:, 0].nbytes * 4  # far below the (K, b, d, d) stack
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ConfigError):
+            neumann_apply(np.ones((4, 3, 3)), np.ones((4, 3)), 1.0)
+        with pytest.raises(ConfigError):
+            neumann_apply(np.ones((2, 0, 3, 3)), np.ones((2, 3)), 1.0)
+        with pytest.raises(ConfigError):
+            neumann_apply(np.ones((2, 1, 3, 3)), np.ones((3, 3)), 1.0)
 
 
 class TestDefaultDepth:
@@ -197,7 +246,8 @@ class TestInitAgents:
         assert st.u.shape == (4, 5)
         assert st.v.shape == (6, 5, 5)
         assert np.array_equal(st.v[0], p.constants.mu_g * np.eye(5))
-        assert np.allclose(st.q, neumann_chain(st.v, p.constants.l_g))
+        assert st.q.shape == (5,)
+        assert np.allclose(st.q, neumann_chain(st.v, p.constants.l_g) @ st.h)
 
     def test_agents_do_not_share_storage(self):
         p = make_quadratic(2, 3, 3, seed=1)
@@ -252,6 +302,11 @@ class TestDsboRound:
                      u=rng.standard_normal((4, 4)), v=st.v, q=st.q)
             for st in states
         ]
+        # keep the invariant q = Q_b(v) h / l_g so z carries a nonzero u q term
+        states = [
+            dataclasses.replace(st, q=neumann_chain(st.v, p.constants.l_g) @ st.h)
+            for st in states
+        ]
         t = 4
         streams = agent_round_streams(0, "oracle", 3, t)
         out = dsbo_round(states, w, p, sched, t, streams)
@@ -263,7 +318,7 @@ class TestDsboRound:
             for a, s in enumerate(agent_round_streams(0, "oracle", 3, t))
         ]
         for i in range(3):
-            z_old = [st.s - st.u @ (st.q @ st.h) for st in states]
+            z_old = [st.s - st.u @ st.q for st in states]
             exp_x = sum(mat[i, j] * states[j].x for j in range(3)) - alpha * z_old[i]
             exp_y = (sum(mat[i, j] * states[j].y for j in range(3))
                      - sched.gamma(t) * samples[i].gy_g)
@@ -272,7 +327,7 @@ class TestDsboRound:
             assert np.allclose(out[i].x, exp_x, atol=1e-13)
             assert np.allclose(out[i].y, exp_y, atol=1e-13)
             assert np.allclose(out[i].s, exp_s, atol=1e-13)
-            assert np.allclose(out[i].q, neumann_chain(out[i].v, p.constants.l_g))
+            assert np.allclose(out[i].q, neumann_chain(out[i].v, p.constants.l_g) @ out[i].h)
 
     def test_reads_snapshot_not_partial_updates(self, setup):
         # agent 0's new x must combine the OLD x of its neighbors; verify by
@@ -287,7 +342,7 @@ class TestDsboRound:
         ]
         t = 1
         out = dsbo_round(states, w, p, sched, t, agent_round_streams(1, "oracle", 3, t))
-        zbar = np.mean([st.s - st.u @ (st.q @ st.h) for st in states], axis=0)
+        zbar = np.mean([st.s - st.u @ st.q for st in states], axis=0)
         expect = np.mean([st.x for st in states], axis=0) - sched.alpha(t) * zbar
         assert np.allclose(np.mean([st.x for st in out], axis=0), expect, atol=1e-12)
 

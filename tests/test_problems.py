@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dsbo import (
     ConfigError,
     DataFormatError,
+    NumericsError,
     ProblemConstants,
     QuadraticBilevel,
     densify,
@@ -318,6 +319,52 @@ class TestHyperopt:
     def test_optimum_not_closed_form(self):
         prob = make_synthetic_hyperopt(2, 20, 3, seed=11)
         assert prob.optimum() is None
+
+    def test_exact_lower_memo(self, monkeypatch):
+        prob = make_synthetic_hyperopt(2, 30, 3, seed=7)
+        solves = []
+        newton = prob._newton_lower
+
+        def counting(x):
+            solves.append(1)
+            return newton(x)
+
+        monkeypatch.setattr(prob, "_newton_lower", counting)
+        x = np.array([0.3, -0.2, 0.1])
+        y = prob.exact_lower(x)
+        assert not y.flags.writeable
+        with pytest.raises(ValueError):
+            y[0] = 1.0
+        again = prob.exact_lower(x.copy())  # equal values, distinct array
+        assert np.array_equal(again, y) and len(solves) == 1
+        prob.exact_hypergrad(x)
+        prob.objective(x)
+        assert len(solves) == 1
+        assert np.array_equal(y, newton(x))
+
+        other = prob.exact_lower(x + 1.0)
+        assert len(solves) == 2
+        assert np.array_equal(other, newton(x + 1.0))
+        assert not np.array_equal(other, y)
+
+    def test_exact_lower_error_not_memoized(self, monkeypatch):
+        prob = make_synthetic_hyperopt(2, 30, 3, seed=7)
+        calls = []
+        newton = prob._newton_lower
+
+        def fail_once(x):
+            calls.append(1)
+            if len(calls) == 1:
+                raise NumericsError("inner Newton solve stalled")
+            return newton(x)
+
+        monkeypatch.setattr(prob, "_newton_lower", fail_once)
+        x = np.zeros(3)
+        with pytest.raises(NumericsError):
+            prob.exact_lower(x)
+        y = prob.exact_lower(x)
+        assert len(calls) == 2
+        assert np.array_equal(y, newton(x))
 
 
 class TestParseLibsvm:
