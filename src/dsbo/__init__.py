@@ -4,7 +4,7 @@ two double-loop baselines, three benchmark problem families, and an
 experiment harness producing reproducible CSV traces."""
 
 from .core import (
-    AgentState,
+    NetworkState,
     StepSchedule,
     check_finite,
     default_b,
@@ -12,8 +12,9 @@ from .core import (
     init_agents,
     neumann_apply,
     neumann_chain,
+    round_step,
 )
-from .baselines import CentralState, dbsa_run, dsgd_run, fedsbo_round, init_central, sgd_eta
+from .baselines import dbsa_run, dsgd_run, fedsbo_round, init_central, sgd_eta
 from .errors import (
     ConfigError,
     DataFormatError,

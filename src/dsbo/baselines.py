@@ -1,7 +1,8 @@
 """Comparison algorithms: star-network aggregation and two double-loop methods.
 
 * ``fedsbo_round``: a coordinator holds one copy of every quantity, ships
-  the common iterate to all agents, and averages their fresh draws.  With
+  the common iterate to all agents, and averages their fresh draws.  It
+  is ``core.round_step`` on a one-row state with mix ``[[1.0]]``, so with
   a single agent it reproduces the gossip algorithm bit for bit.
 * ``dbsa_run``: double loop; outer step t runs t gossip-SGD inner steps
   on y, then descends x along the partial gradient only (the published
@@ -14,86 +15,60 @@
 
 The double-loop runners take a ``recorder`` (see harness) so they can
 emit the same trace rows as the main algorithm without importing it.
+They mix with ``topology.gossip_mix`` and check iterates with
+``core.check_finite``, like the round kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import StepSchedule, hypergrad_estimate, neumann_apply, neumann_chain
+from .core import (
+    NetworkState,
+    StepSchedule,
+    check_finite,
+    combine_draws,
+    init_agents,
+    neumann_chain,
+    round_step,
+)
 from .errors import DivergenceError, UnsupportedProblemError
-from .rng import agent_round_streams, stream
-from .topology import MixingMatrix
+from .rng import stream
+from .topology import MixingMatrix, gossip_mix
+
+# The coordinator's single copy mixes only with itself.
+_SELF_MIX = np.ones((1, 1))
+_SELF_MIX.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class CentralState:
-    """Server-side iterates and estimators (one copy total)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    s: np.ndarray
-    h: np.ndarray
-    u: np.ndarray
-    v: np.ndarray  # (b, d_y, d_y)
-    q: np.ndarray  # (d_y,) Neumann product Q_b(v) h / l_g, as in AgentState
+def _agent_mean(arrays) -> np.ndarray:
+    return np.mean(arrays, axis=0)[None]
 
 
-def init_central(problem, b: int) -> CentralState:
-    """Zero iterates, v seeded at mu_g*I, matching the gossip initializer."""
-    from .core import init_agents
-
-    st = init_agents(problem, b)[0]
-    return CentralState(x=st.x, y=st.y, s=st.s, h=st.h, u=st.u, v=st.v, q=st.q)
+def init_central(problem, b: int) -> NetworkState:
+    """The coordinator's one-row state, matching the gossip initializer."""
+    return init_agents(problem, b, k=1)
 
 
 def fedsbo_round(
-    central: CentralState,
+    central: NetworkState,
     problem,
     schedule: StepSchedule,
     t: int,
     rng_streams,
-    pool=None,
-) -> CentralState:
+) -> NetworkState:
     """One coordinator round: sample at the common iterate, average, update.
 
     The reduction over agents is a fixed-order numpy mean, so results are
-    reproducible, and with one agent every expression degenerates to the
-    corresponding gossip expression exactly.
+    reproducible, and with one agent the averaged draw is the agent's own.
     """
-    alpha, beta, gamma = schedule.alpha(t), schedule.beta(t), schedule.gamma(t)
-    n_agents = problem.k
-    b = central.v.shape[0]
-
-    def draw(agent: int):
-        return problem.sample(agent, central.x, central.y, rng_streams[agent], b)
-
-    if pool is None:
-        samples = [draw(agent) for agent in range(n_agents)]
-    else:
-        samples = list(pool.map(draw, range(n_agents)))
-
-    # 1-row batches through the gossip kernels keep K = 1 bitwise equal.
-    z = hypergrad_estimate(central.s[None], central.u[None], central.q[None])[0]
-    new_x = central.x - alpha * z
-    new_y = central.y - gamma * np.mean([sm.gy_g for sm in samples], axis=0)
-    new_s = (1.0 - beta) * central.s + beta * np.mean([sm.gx_f for sm in samples], axis=0)
-    new_h = (1.0 - beta) * central.h + beta * np.mean([sm.gy_f for sm in samples], axis=0)
-    new_u = (1.0 - beta) * central.u + beta * np.mean([sm.hxy_g for sm in samples], axis=0)
-    new_v = (1.0 - beta) * central.v + beta * np.mean(
-        [sm.hyy_g_draws for sm in samples], axis=0
-    )
-    new_q = neumann_apply(new_v[None], new_h[None], problem.constants.l_g)[0]
-
-    for name, arr in (
-        ("x", new_x), ("y", new_y), ("s", new_s),
-        ("h", new_h), ("u", new_u), ("v", new_v), ("q", new_q),
-    ):
-        if not np.isfinite(arr).all():
-            raise DivergenceError(agent=0, field=name, t=t)
-    return CentralState(x=new_x, y=new_y, s=new_s, h=new_h, u=new_u, v=new_v, q=new_q)
+    b = central.v.shape[1]
+    samples = [
+        problem.sample(agent, central.x[0], central.y[0], rng_streams[agent], b)
+        for agent in range(problem.k)
+    ]
+    return round_step(central, _SELF_MIX, combine_draws(samples, _agent_mean), schedule, t,
+                      problem.constants.l_g)
 
 
 def sgd_eta(c: float = 2.0):
@@ -103,13 +78,6 @@ def sgd_eta(c: float = 2.0):
         return min(0.5, c / (i + 1))
 
     return eta
-
-
-def _check_divergence(t, named_stacks):
-    for name, stack in named_stacks:
-        if not np.isfinite(stack).all():
-            per_agent = np.isfinite(stack).reshape(stack.shape[0], -1).all(axis=1)
-            raise DivergenceError(agent=int(np.argmin(per_agent)), field=name, t=t)
 
 
 def dbsa_run(
@@ -136,7 +104,7 @@ def dbsa_run(
     reproduces the published pseudocode, which descends the partial
     gradient only.
     """
-    n_agents, mat = problem.k, w.weights
+    n_agents = problem.k
     consts = problem.constants
     xs = np.zeros((n_agents, consts.d_x))
     ys = np.zeros((n_agents, consts.d_y))
@@ -157,7 +125,7 @@ def dbsa_run(
                         for agent in range(n_agents)
                     ]
                 )
-                ys = np.tensordot(mat, ys, axes=(1, 0)) - eta * grads
+                ys = gossip_mix(ys, w) - eta * grads
             xi += t
 
             outer = [
@@ -172,9 +140,9 @@ def dbsa_run(
                 for agent, sm in enumerate(outer):
                     q = neumann_chain(sm.hyy_g_draws, consts.l_g)
                     steps[agent] -= sm.hxy_g @ (q @ sm.gy_f)
-            xs = np.tensordot(mat, xs, axes=(1, 0)) - alpha_of(t) * steps
+            xs = gossip_mix(xs, w) - alpha_of(t) * steps
             zeta += 1
-            _check_divergence(t, (("x", xs), ("y", ys)))
+            check_finite((("x", xs), ("y", ys)), t)
             recorder.record(t + 1, xs, ys, zeta, xi)
     except DivergenceError as err:
         err.trace = recorder.finish()
@@ -206,7 +174,7 @@ def dsgd_run(
             "(inner value expressible as a sampled mapping of x); "
             f"{type(problem).__name__} is not one"
         )
-    n_agents, mat = problem.k, w.weights
+    n_agents = problem.k
     xs = np.zeros((n_agents, problem.constants.d_x))
     inner = np.zeros((n_agents, problem.comp_dim))
     zeta = xi = 0
@@ -226,7 +194,7 @@ def dsgd_run(
                         for agent in range(n_agents)
                     ]
                 )
-                inner = (1.0 - eta) * np.tensordot(mat, inner, axes=(1, 0)) + eta * fresh
+                inner = (1.0 - eta) * gossip_mix(inner, w) + eta * fresh
             xi += t
 
             steps = np.empty_like(xs)
@@ -234,10 +202,10 @@ def dsgd_run(
                 rng = stream(master_seed, "dsgd-outer", agent, t)
                 jac_t = problem.comp_jac(agent, xs[agent], rng)
                 steps[agent] = jac_t @ problem.comp_outer_grad(inner[agent], rng)
-            xs = np.tensordot(mat, xs, axes=(1, 0)) - alpha_of(t) * steps
+            xs = gossip_mix(xs, w) - alpha_of(t) * steps
             zeta += 1
             xi += 1  # Jacobian draw
-            _check_divergence(t, (("x", xs), ("y", inner)))
+            check_finite((("x", xs), ("y", inner)), t)
             recorder.record(t + 1, xs, inner[:, : problem.d_y], zeta, xi)
     except DivergenceError as err:
         err.trace = recorder.finish()

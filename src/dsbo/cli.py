@@ -113,7 +113,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
-    n_seeds = args.seeds or 10
+    n_seeds = args.seeds
     paths, finals = [], {"mse": [], "subopt": [], "grad_norm_sq": []}
     for seed in range(n_seeds):
         run_cfg = dataclasses.replace(cfg, seed=seed)
@@ -332,7 +332,7 @@ def _hyperopt_base() -> RunConfig:
 
 def _replicate_runs(args, base: RunConfig, ks, out: str):
     """Run base across network sizes and seeds; returns {k: [(seed, trace)]}."""
-    n_seeds = args.seeds or 10
+    n_seeds = args.seeds
     results = {}
     for k in ks:
         cfg_k = dataclasses.replace(base, topology=dataclasses.replace(base.topology, k=k))
@@ -409,6 +409,16 @@ def cmd_replicate(args) -> int:
 # entry point
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dsbo",
@@ -427,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("run", help="execute one configured run"))
     p_sweep = sub.add_parser("sweep", help="run a config across master seeds")
     common(p_sweep)
-    p_sweep.add_argument("--seeds", type=int, default=10, help="number of master seeds")
+    p_sweep.add_argument("--seeds", type=_positive_int, default=10, help="number of master seeds")
     common(sub.add_parser("validate", help="check topology/problem invariants"))
     p_plot = sub.add_parser("plotdata", help="merge traces into plot-ready long CSV")
     p_plot.add_argument("traces", nargs="+", help="trace CSV files")
@@ -438,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("experiment", help=f"one of: {', '.join(EXPERIMENTS)}")
     p_rep.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p_rep.add_argument("--out", default="")
-    p_rep.add_argument("--seeds", type=int, default=10)
+    p_rep.add_argument("--seeds", type=_positive_int, default=10)
     p_rep.add_argument("--quiet", action="store_true")
     return parser
 

@@ -1,4 +1,4 @@
-"""Per-round agent updates for the gossip-based bilevel optimizer.
+"""The lock-step round shared by the gossip algorithm and its federated variant.
 
 Each round, every agent queries the oracle at its own iterate, then all
 agents simultaneously apply: one gossip step on every state quantity,
@@ -14,32 +14,45 @@ matrices, approximating the inverse inner Hessian, applied to h.  It is
 computed matrix-free by ``neumann_apply`` in O(b d_y^2) per agent; the
 d_y x d_y matrix ``neumann_chain`` builds is never formed in a round.
 
-All right-hand sides read the round-t snapshot, so agents can be
-evaluated in any order or in parallel without changing a single bit of
-the result.
+The network's state is one :class:`NetworkState` of ``(K, ...)`` arrays,
+and ``round_step`` is the only implementation of the update.  The gossip
+round feeds it each agent's own draw; the federated variant is the same
+step on a one-row state with mix ``[[1.0]]`` and the agent-averaged draw.
+All right-hand sides read the round-t snapshot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .topology import MixingMatrix
+from .problems.base import StochasticSample
+from .topology import MixingMatrix, gossip_mix
+
+_FIELDS = ("x", "y", "s", "h", "u", "v", "q")
+_DRAW_FIELDS = ("gx_f", "gy_f", "gy_g", "hxy_g", "hyy_g_draws")
+
 
 @dataclass(frozen=True)
-class AgentState:
-    """One agent's iterates and estimators at a fixed round."""
+class NetworkState:
+    """Every agent's iterates and estimators at one round; row k is agent k."""
 
-    x: np.ndarray
-    y: np.ndarray
-    s: np.ndarray
-    h: np.ndarray
-    u: np.ndarray
-    v: np.ndarray  # (b, d_y, d_y) stack of inner-Hessian estimators
-    q: np.ndarray  # (d_y,) Neumann product Q_b(v) h / l_g read by the next z
+    x: np.ndarray  # (K, d_x)
+    y: np.ndarray  # (K, d_y)
+    s: np.ndarray  # (K, d_x)
+    h: np.ndarray  # (K, d_y)
+    u: np.ndarray  # (K, d_x, d_y)
+    v: np.ndarray  # (K, b, d_y, d_y) stacks of inner-Hessian estimators
+    q: np.ndarray  # (K, d_y) Neumann products Q_b(v_k) h_k / l_g read by the next z
+
+    def __iter__(self):
+        """Per-agent views: one namespace of row views x, y, s, h, u, v, q per agent."""
+        for k in range(self.x.shape[0]):
+            yield SimpleNamespace(**{f: getattr(self, f)[k] for f in _FIELDS})
 
 
 @dataclass(frozen=True)
@@ -180,24 +193,22 @@ def hypergrad_estimate(s, u, q) -> np.ndarray:
     return s - (u @ q[:, :, None])[:, :, 0]
 
 
-def init_agents(problem, b: int) -> list[AgentState]:
-    """All-zero iterates; v seeded at mu_g*I, so q = Q_b(v) h / l_g = 0."""
+def init_agents(problem, b: int, k: int | None = None) -> NetworkState:
+    """All-zero iterates for k agents (default problem.k); v seeded at mu_g*I, so q = 0."""
     if b < 1:
         raise ConfigError(f"Neumann depth b must be >= 1, got {b}")
     consts = problem.constants
-    v0 = np.broadcast_to(consts.mu_g * np.eye(consts.d_y), (b, consts.d_y, consts.d_y)).copy()
-    return [
-        AgentState(
-            x=np.zeros(consts.d_x),
-            y=np.zeros(consts.d_y),
-            s=np.zeros(consts.d_x),
-            h=np.zeros(consts.d_y),
-            u=np.zeros((consts.d_x, consts.d_y)),
-            v=v0.copy(),
-            q=np.zeros(consts.d_y),
-        )
-        for _ in range(problem.k)
-    ]
+    k = problem.k if k is None else k
+    d_x, d_y = consts.d_x, consts.d_y
+    return NetworkState(
+        x=np.zeros((k, d_x)),
+        y=np.zeros((k, d_y)),
+        s=np.zeros((k, d_x)),
+        h=np.zeros((k, d_y)),
+        u=np.zeros((k, d_x, d_y)),
+        v=np.broadcast_to(consts.mu_g * np.eye(d_y), (k, b, d_y, d_y)).copy(),
+        q=np.zeros((k, d_y)),
+    )
 
 
 def check_finite(arrays_by_field, t: int):
@@ -209,65 +220,46 @@ def check_finite(arrays_by_field, t: int):
             raise DivergenceError(agent=agent, field=name, t=t)
 
 
+def combine_draws(samples, reduce) -> StochasticSample:
+    """One StochasticSample whose fields are ``reduce`` of the per-agent fields."""
+    return StochasticSample(
+        **{name: reduce([getattr(sm, name) for sm in samples]) for name in _DRAW_FIELDS}
+    )
+
+
+def round_step(state: NetworkState, mix, draws: StochasticSample, schedule: StepSchedule,
+               t: int, l_g: float) -> NetworkState:
+    """Advance every row of ``state`` one round; all reads see the round-t snapshot.
+
+    ``mix`` is the (K, K) gossip matrix and ``draws`` holds the oracle
+    draws stacked over the same K rows.  Raises a divergence error naming
+    the first non-finite agent and field.
+    """
+    alpha, beta, gamma = schedule.alpha(t), schedule.beta(t), schedule.gamma(t)
+    x = gossip_mix(state.x, mix) - alpha * hypergrad_estimate(state.s, state.u, state.q)
+    y = gossip_mix(state.y, mix) - gamma * draws.gy_g
+    s = (1.0 - beta) * gossip_mix(state.s, mix) + beta * draws.gx_f
+    h = (1.0 - beta) * gossip_mix(state.h, mix) + beta * draws.gy_f
+    u = (1.0 - beta) * gossip_mix(state.u, mix) + beta * draws.hxy_g
+    v = (1.0 - beta) * gossip_mix(state.v, mix) + beta * draws.hyy_g_draws
+    new = NetworkState(x=x, y=y, s=s, h=h, u=u, v=v, q=neumann_apply(v, h, l_g))
+    check_finite(((name, getattr(new, name)) for name in _FIELDS), t)
+    return new
+
+
 def dsbo_round(
-    states: list[AgentState],
+    state: NetworkState,
     w: MixingMatrix,
     problem,
     schedule: StepSchedule,
     t: int,
     rng_streams,
-    pool=None,
-) -> list[AgentState]:
-    """Advance every agent one round; all reads see the round-t snapshot."""
-    alpha, beta, gamma = schedule.alpha(t), schedule.beta(t), schedule.gamma(t)
-    n_agents = len(states)
-    b = states[0].v.shape[0]
-
-    def draw(agent: int):
-        return problem.sample(agent, states[agent].x, states[agent].y, rng_streams[agent], b)
-
-    if pool is None:
-        samples = [draw(agent) for agent in range(n_agents)]
-    else:
-        samples = list(pool.map(draw, range(n_agents)))
-
-    mat = w.weights
-    xs = np.stack([st.x for st in states])
-    ys = np.stack([st.y for st in states])
-    ss = np.stack([st.s for st in states])
-    hs = np.stack([st.h for st in states])
-    us = np.stack([st.u for st in states])
-    vs = np.stack([st.v for st in states])
-    qs = np.stack([st.q for st in states])
-
-    zs = hypergrad_estimate(ss, us, qs)
-    new_x = np.tensordot(mat, xs, axes=(1, 0)) - alpha * zs
-    new_y = np.tensordot(mat, ys, axes=(1, 0)) - gamma * np.stack([sm.gy_g for sm in samples])
-    new_s = (1.0 - beta) * np.tensordot(mat, ss, axes=(1, 0)) + beta * np.stack(
-        [sm.gx_f for sm in samples]
-    )
-    new_h = (1.0 - beta) * np.tensordot(mat, hs, axes=(1, 0)) + beta * np.stack(
-        [sm.gy_f for sm in samples]
-    )
-    new_u = (1.0 - beta) * np.tensordot(mat, us, axes=(1, 0)) + beta * np.stack(
-        [sm.hxy_g for sm in samples]
-    )
-    new_v = (1.0 - beta) * np.tensordot(mat, vs, axes=(1, 0)) + beta * np.stack(
-        [sm.hyy_g_draws for sm in samples]
-    )
-    new_q = neumann_apply(new_v, new_h, problem.constants.l_g)
-
-    check_finite(
-        (
-            ("x", new_x), ("y", new_y), ("s", new_s),
-            ("h", new_h), ("u", new_u), ("v", new_v), ("q", new_q),
-        ),
-        t,
-    )
-    return [
-        AgentState(
-            x=new_x[agent], y=new_y[agent], s=new_s[agent], h=new_h[agent],
-            u=new_u[agent], v=new_v[agent], q=new_q[agent],
-        )
-        for agent in range(n_agents)
+) -> NetworkState:
+    """One gossip round: each agent draws at its own row, then ``round_step``."""
+    b = state.v.shape[1]
+    samples = [
+        problem.sample(agent, state.x[agent], state.y[agent], rng_streams[agent], b)
+        for agent in range(state.x.shape[0])
     ]
+    return round_step(state, w.weights, combine_draws(samples, np.stack), schedule, t,
+                      problem.constants.l_g)

@@ -6,10 +6,14 @@ a JSON-able header (the resolved config plus reference values such as
 x*, F*, and the mixing-matrix contraction factor) and a list of
 :class:`TraceRecord` rows sampled at the metric cadence.
 
+The gossip algorithm and its federated variant share one loop: a
+:class:`~dsbo.core.NetworkState` advanced by ``dsbo_round`` or
+``fedsbo_round`` and recorded at the metric cadence.  The double-loop
+baselines drive the recorder themselves.
+
 Determinism contract: every random draw anywhere in a run derives from
 ``config.seed`` through per-(purpose, agent, round) streams, so a config
-re-runs to byte-identical CSV no matter how sampling is parallelized
-(``DSBO_THREADS``) or which rounds are recorded.
+re-runs to byte-identical CSV no matter which rounds are recorded.
 """
 
 from __future__ import annotations
@@ -17,14 +21,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import dsgd_run, dbsa_run, fedsbo_round, init_central, sgd_eta
-from .core import AgentState, StepSchedule, default_b, dsbo_round, init_agents
+from .core import StepSchedule, default_b, dsbo_round, init_agents
 from .errors import ConfigError, DivergenceError, NumericsError
 from .problems import (
     densify,
@@ -316,7 +318,12 @@ def read_trace(path: str) -> Trace:
 
 
 class Recorder:
-    """Builds TraceRecords from raw iterate stacks at the metric cadence."""
+    """Builds TraceRecords from raw iterate stacks at the metric cadence.
+
+    ``est``, when given, is a state with (K, ...) estimator stacks s, h, u
+    and v (a :class:`~dsbo.core.NetworkState`); without it the estimator
+    errors are recorded as 0.
+    """
 
     def __init__(self, problem, cadence: int, t_total: int, x_star, f_star):
         self.problem = problem
@@ -339,10 +346,10 @@ class Recorder:
         if est is not None:
             y_star = self.problem.exact_lower(xbar)
             exact = self.problem.exact_gradients(xbar, y_star)
-            errs["s"] = float(((est["s"].mean(axis=0) - exact.gx_f) ** 2).sum())
-            errs["h"] = float(((est["h"].mean(axis=0) - exact.gy_f) ** 2).sum())
-            errs["u"] = float(((est["u"].mean(axis=0) - exact.hxy_g) ** 2).sum())
-            errs["v"] = float(((est["v"].mean(axis=(0, 1)) - exact.hyy_g) ** 2).sum())
+            errs["s"] = float(((est.s.mean(axis=0) - exact.gx_f) ** 2).sum())
+            errs["h"] = float(((est.h.mean(axis=0) - exact.gy_f) ** 2).sum())
+            errs["u"] = float(((est.u.mean(axis=0) - exact.hxy_g) ** 2).sum())
+            errs["v"] = float(((est.v.mean(axis=(0, 1)) - exact.hyy_g) ** 2).sum())
         self.records.append(
             TraceRecord(
                 t=t,
@@ -426,8 +433,11 @@ def build_problem(cfg: ProblemConfig, k: int):
                 reg_floor=cfg.reg_floor, minibatch=cfg.minibatch,
                 val_fraction=cfg.val_fraction,
             )
-        with open(cfg.data_path, "r", encoding="utf-8") as fh:
-            records = parse_libsvm(fh)
+        try:
+            with open(cfg.data_path, "r", encoding="utf-8") as fh:
+                records = parse_libsvm(fh)
+        except OSError as err:
+            raise ConfigError(f"cannot read data from {cfg.data_path!r}: {err}") from err
         features, labels = densify(records)
         rows = list(zip(features, labels))
         datasets = []
@@ -484,24 +494,6 @@ def default_cadence(t_total: int) -> int:
 # Running
 
 
-def _thread_pool():
-    raw = os.environ.get("DSBO_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"DSBO_THREADS must be an integer, got {raw!r}") from None
-    return ThreadPoolExecutor(max_workers=n) if n > 1 else None
-
-
-def _est_stacks(states: list[AgentState]) -> dict:
-    return {
-        "s": np.stack([st.s for st in states]),
-        "h": np.stack([st.h for st in states]),
-        "u": np.stack([st.u for st in states]),
-        "v": np.stack([st.v for st in states]),
-    }
-
-
 def run(config: RunConfig) -> Trace:
     """Execute one configured run and return its trace.
 
@@ -537,39 +529,28 @@ def run(config: RunConfig) -> Trace:
     }
 
     recorder = Recorder(problem, cadence, config.t_total, x_star, f_star)
-    pool = _thread_pool()
     try:
-        if config.algorithm == "dsbo":
-            w = build_topology(config.topology)
-            header["reference"]["rho"] = w.rho
-            states = init_agents(problem, b)
+        if config.algorithm in ("dsbo", "fedsbo"):
+            if config.algorithm == "dsbo":
+                w = build_topology(config.topology)
+                header["reference"]["rho"] = w.rho
+                state = init_agents(problem, b)
+
+                def advance(state, t, streams):
+                    return dsbo_round(state, w, problem, schedule, t, streams)
+            else:
+                state = init_central(problem, b)
+
+                def advance(state, t, streams):
+                    return fedsbo_round(state, problem, schedule, t, streams)
+
             zeta = xi = 0
-            recorder.record(
-                0, np.stack([st.x for st in states]), np.stack([st.y for st in states]),
-                zeta, xi, est=_est_stacks(states),
-            )
+            recorder.record(0, state.x, state.y, zeta, xi, est=state)
             for t in range(config.t_total):
-                streams = agent_round_streams(config.seed, "oracle", k, t)
-                states = dsbo_round(states, w, problem, schedule, t, streams, pool)
+                state = advance(state, t, agent_round_streams(config.seed, "oracle", k, t))
                 zeta += 1
                 xi += 1 + b
-                recorder.record(
-                    t + 1, np.stack([st.x for st in states]),
-                    np.stack([st.y for st in states]), zeta, xi,
-                    est=_est_stacks(states),
-                )
-        elif config.algorithm == "fedsbo":
-            central = init_central(problem, b)
-            zeta = xi = 0
-            recorder.record(0, central.x[None], central.y[None], zeta, xi,
-                            est={n: getattr(central, n)[None] for n in "shuv"})
-            for t in range(config.t_total):
-                streams = agent_round_streams(config.seed, "oracle", k, t)
-                central = fedsbo_round(central, problem, schedule, t, streams, pool)
-                zeta += 1
-                xi += 1 + b
-                recorder.record(t + 1, central.x[None], central.y[None], zeta, xi,
-                                est={n: getattr(central, n)[None] for n in "shuv"})
+                recorder.record(t + 1, state.x, state.y, zeta, xi, est=state)
         elif config.algorithm == "dbsa":
             w = build_topology(config.topology)
             header["reference"]["rho"] = w.rho
@@ -589,9 +570,6 @@ def run(config: RunConfig) -> Trace:
     except DivergenceError as err:
         err.trace = Trace(header=header, records=list(recorder.records))
         raise
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
     return Trace(header=header, records=recorder.records)
 
 

@@ -37,8 +37,6 @@ class ProblemConstants:
     l_f: float
     sigma_f: float
     sigma_g: float
-    c_g: float = 0.0
-    l_g_tilde: float = 0.0
 
     def __post_init__(self):
         if self.d_x < 1 or self.d_y < 1:
@@ -58,26 +56,11 @@ class ProblemConstants:
                 f"kappa_g = {self.kappa_g!r} outside (0, mu_g/l_g] = "
                 f"(0, {self.mu_g / self.l_g!r}]"
             )
-        if self.c_g == 0.0:
-            object.__setattr__(self, "c_g", self.l_g)
-        if self.l_g_tilde == 0.0:
-            object.__setattr__(self, "l_g_tilde", self.l_g)
 
-    # Derived constants. l_q bounds the truncated-inverse norm; l_y the
-    # Lipschitz modulus of y*(x); l_big_f a conservative smoothness bound
-    # for the overall objective assembled from the declared constants.
     @property
     def l_q(self) -> float:
+        """Bound on the norm of the truncated inverse Q_b(v) / l_g."""
         return 1.0 / (self.kappa_g * self.l_g)
-
-    @property
-    def l_y(self) -> float:
-        return self.c_g / self.mu_g
-
-    @property
-    def l_big_f(self) -> float:
-        amp = 1.0 + self.l_g * self.l_q
-        return (self.l_f + self.c_f * self.l_g_tilde * self.l_q) * (1.0 + self.l_y) * amp
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,6 @@ class QuadraticBilevel(BilevelProblem):
             l_f=1.0,
             sigma_f=sigma_f,
             sigma_g=sigma_g,
-            c_g=l_g,
-            l_g_tilde=l_g,
         )
         self._spec_lo = self.constants.l_g * self.constants.kappa_g
         self._spec_hi = self.constants.l_g * (2.0 - self.constants.kappa_g)

@@ -5,7 +5,7 @@ Every random draw in a run descends from one master seed through
 two call sites with different (purpose, key) tuples never see correlated
 bits, and the draw made by agent k at round t does not depend on how many
 draws other agents made or in what order agents ran.  That property is
-what makes runs byte-identical regardless of thread count.
+what makes runs byte-identical regardless of evaluation order.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ mixing at all (disconnected, e.g. the identity).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,15 +41,11 @@ class MixingMatrix:
     k: int
     weights: np.ndarray
     rho: float
-    neighbor_lists: tuple[tuple[int, ...], ...] = field(default=())
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
         object.__setattr__(self, "weights", w)
         w.setflags(write=False)
-        if not self.neighbor_lists:
-            nbrs = tuple(tuple(int(j) for j in np.nonzero(row)[0]) for row in w)
-            object.__setattr__(self, "neighbor_lists", nbrs)
 
 
 def _validate(w: np.ndarray) -> None:
@@ -151,27 +147,17 @@ def spectral_gap(weights) -> float:
     )
 
 
-def gossip_mix(values, w: MixingMatrix | np.ndarray):
+def gossip_mix(values: np.ndarray, w: MixingMatrix | np.ndarray) -> np.ndarray:
     """One gossip step: output[k] = sum_j w[k, j] * values[j].
 
-    ``values`` may be a stacked array with leading agent axis or a sequence
-    of equal-shape per-agent arrays; the return matches the input kind.
-    Preserves the network average because W is doubly stochastic.
+    ``values`` is stacked with a leading agent axis.  The step is one
+    matrix product over the flattened trailing axes: the same product a
+    tensor contraction over the agent axis forms, bit for bit, without its
+    per-call overhead.  Preserves the network average because W is doubly
+    stochastic.
     """
     mat = w.weights if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float)
-    if isinstance(values, np.ndarray):
-        stacked = values
-        as_list = False
-    else:
-        vals = [np.asarray(v, dtype=float) for v in values]
-        shapes = {v.shape for v in vals}
-        if len(shapes) > 1:
-            raise ValueError(f"per-agent values have mismatched shapes: {shapes}")
-        stacked = np.stack(vals)
-        as_list = True
-    if stacked.shape[0] != mat.shape[0]:
-        raise ValueError(
-            f"got {stacked.shape[0]} agent values for a {mat.shape[0]}-agent matrix"
-        )
-    mixed = np.tensordot(mat, stacked, axes=(1, 0))
-    return list(mixed) if as_list else mixed
+    k = values.shape[0]
+    if k != mat.shape[1]:
+        raise ValueError(f"got {k} agent values for a {mat.shape[0]}-agent matrix")
+    return np.dot(mat, values.reshape(k, -1)).reshape(values.shape)

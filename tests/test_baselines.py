@@ -1,5 +1,7 @@
 """Coordinator variant and double-loop baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,16 +71,16 @@ class TestFedSbo:
         p = make_quadratic(1, 3, 3, seed=4, sigma_f=0.2, sigma_g=0.1)
         w = build_complete(1)
         sched = StepSchedule("diminishing", c1=50.0, mu=1.0)
-        states = init_agents(p, b=3)
+        state = init_agents(p, b=3)
         central = init_central(p, b=3)
         for t in range(40):
             streams = agent_round_streams(11, "oracle", 1, t)
-            states = dsbo_round(states, w, p, sched, t, streams)
+            state = dsbo_round(state, w, p, sched, t, streams)
             central = fedsbo_round(
                 central, p, sched, t, agent_round_streams(11, "oracle", 1, t)
             )
             for f in STATE_FIELDS:
-                assert np.array_equal(getattr(states[0], f), getattr(central, f)), (
+                assert np.array_equal(getattr(state, f), getattr(central, f)), (
                     f"field {f} diverged at round {t}"
                 )
 
@@ -91,7 +93,7 @@ class TestFedSbo:
         last_round = p.calls[-4:]
         assert [c[0] for c in last_round] == [0, 1, 2, 3]
         for _, x_seen in last_round:
-            assert np.array_equal(x_seen, central.x)
+            assert np.array_equal(x_seen, central.x[0])
 
     def test_full_mix_replaces_estimators(self):
         # beta = 1 discards the previous estimators entirely
@@ -99,10 +101,10 @@ class TestFedSbo:
         sched = StepSchedule("diminishing", c1=2.0, mu=1.0)  # beta(0) = 1
         central = init_central(p, b=2)
         out = fedsbo_round(central, p, sched, 0, agent_round_streams(0, "oracle", 3, 0))
-        draws = [p.sample(a, central.x, central.y, r, 2)
+        draws = [p.sample(a, central.x[0], central.y[0], r, 2)
                  for a, r in enumerate(agent_round_streams(0, "oracle", 3, 0))]
-        assert np.allclose(out.s, np.mean([d.gx_f for d in draws], axis=0), atol=1e-15)
-        assert np.allclose(out.u, np.mean([d.hxy_g for d in draws], axis=0), atol=1e-15)
+        assert np.allclose(out.s[0], np.mean([d.gx_f for d in draws], axis=0), atol=1e-15)
+        assert np.allclose(out.u[0], np.mean([d.hxy_g for d in draws], axis=0), atol=1e-15)
 
     def test_estimator_bias_contracts_geometrically(self):
         # zero noise, frozen iterates: s_t - target shrinks by (1 - beta)
@@ -110,11 +112,11 @@ class TestFedSbo:
         central = init_central(p, b=2)
         sched = StepSchedule("constant", k=2, t_total=400, c0=1e-12, beta_scale=1.0)
         beta = sched.beta(0)
-        target = np.mean([p.sample(a, central.x, central.y, None, 1).gx_f
+        target = np.mean([p.sample(a, central.x[0], central.y[0], None, 1).gx_f
                           for a in range(2)], axis=0)
         errs = []
         for t in range(3):
-            errs.append(np.linalg.norm(central.s - target))
+            errs.append(np.linalg.norm(central.s[0] - target))
             central = fedsbo_round(central, p, sched, t,
                                    agent_round_streams(0, "oracle", 2, t))
         # alpha ~ 1e-12 freezes x, so the target is static and the recursion exact
@@ -126,18 +128,10 @@ class TestFedSbo:
         p = make_quadratic(2, 3, 3, seed=8, sigma_f=0.0, sigma_g=0.0)
         sched = StepSchedule("constant", k=2, t_total=10, c0=1e160)
         central = init_central(p, b=2)
-        central = CentralStateWith(central, s=np.full(3, 1e160))
+        central = dataclasses.replace(central, s=np.full((1, 3), 1e160))
         with pytest.raises(DivergenceError) as exc:
             fedsbo_round(central, p, sched, 0, agent_round_streams(0, "oracle", 2, 0))
         assert exc.value.agent == 0 and exc.value.field == "x"
-
-
-def CentralStateWith(central, **overrides):
-    from dsbo import CentralState
-
-    vals = {f: getattr(central, f) for f in STATE_FIELDS}
-    vals.update(overrides)
-    return CentralState(**vals)
 
 
 class TestDbsa:
@@ -267,11 +261,11 @@ class TestDsgd:
         cap = StepSchedule("capped", alpha_cap=0.01, alpha_num=2.0,
                            beta_cap=0.5, beta_num=50.0)
         t_rounds = 2000  # 2 draws per round (b = 1): 4000 per agent
-        states = init_agents(het, 1)
+        state = init_agents(het, 1)
         for t in range(t_rounds):
-            states = dsbo_round(states, w, het, cap, t,
-                                agent_round_streams(0, "oracle", 4, t))
-        gossip_mse = float(np.sum((np.mean([s.x for s in states], axis=0) - x_star) ** 2))
+            state = dsbo_round(state, w, het, cap, t,
+                               agent_round_streams(0, "oracle", 4, t))
+        gossip_mse = float(np.sum((state.x.mean(axis=0) - x_star) ** 2))
         t_outer = 88  # 88*89/2 + 88 = 4004 draws per agent
         rec = ListRecorder()
         dsgd_run(het, w, t_outer, cap, sgd_eta(), 0, rec)

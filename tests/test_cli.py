@@ -141,6 +141,15 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_missing_data_file_is_config_error(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.libsvm")
+        cfg_path = write_config(tmp_path, {"problem": {"family": "hyperopt",
+                                                       "data_path": absent}})
+        code = main(["run", "--config", cfg_path, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and absent in err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_divergence_exits_4_and_keeps_partial_trace(self, tmp_path, capsys):
@@ -197,6 +206,15 @@ class TestSweep:
         for field in ("mse", "subopt", "grad_norm_sq"):
             assert field in summary["final"]
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seed_count_below_one_is_usage_error(self, tmp_path, capsys, seeds):
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", cfg_path, "--seeds", seeds, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_well_posed_config_passes_all_checks(self, tmp_path, capsys):
@@ -226,6 +244,15 @@ class TestValidate:
         out = capsys.readouterr().out
         assert code == EXIT_CONFIG
         assert "FAIL construction (NotSymmetricError)" in out
+
+    def test_missing_data_file_fails_construction(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent.libsvm")
+        cfg_path = write_config(tmp_path, {"problem": {"family": "hyperopt",
+                                                       "data_path": absent}})
+        code = main(["validate", "--config", cfg_path])
+        out = capsys.readouterr().out
+        assert code == EXIT_CONFIG
+        assert "FAIL construction (ConfigError)" in out and absent in out
 
     def test_oversized_hessian_noise_fails_construction(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"problem": {"sigma_g": 5.0}})
@@ -309,6 +336,14 @@ class TestReplicate:
         code = main(["replicate", "telepathy", "--out", str(tmp_path)])
         assert code == EXIT_USAGE
         assert "unknown experiment 'telepathy'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seed_count_below_one_is_usage_error(self, tmp_path, capsys, seeds):
+        out = tmp_path / "rep"
+        code = main(["replicate", "policy-eval", "--seeds", seeds, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_policy_eval_desk_scale(self, tmp_path):
         out = tmp_path / "rep"

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import strategies as hst
 from dsbo import (
     ConfigError,
     DivergenceError,
+    MixingMatrix,
     StepSchedule,
     agent_round_streams,
     build_ring,
@@ -29,6 +29,13 @@ from dsbo import (
 # mu = 0.5, L = 1, ten terms -> 2 - 2**-10, matching the closed form
 # (1/mu) * (1 - (1 - mu/L)**(b+1)).
 NEUMANN_SCALAR_10 = 1.9990234375
+
+STATE_FIELDS = ("x", "y", "s", "h", "u", "v", "q")
+
+
+def eig_rho(weights: np.ndarray) -> float:
+    k = weights.shape[0]
+    return float(np.abs(np.linalg.eigvalsh(weights - 1.0 / k)).max() ** 2)
 
 
 class TestNeumannChain:
@@ -238,22 +245,35 @@ class TestStepSchedule:
 class TestInitAgents:
     def test_shapes_and_values(self):
         p = make_quadratic(3, 4, 5, seed=1)
-        states = init_agents(p, b=6)
-        assert len(states) == 3
-        st = states[0]
-        assert st.x.shape == (4,) and not st.x.any()
-        assert st.y.shape == (5,) and st.s.shape == (4,) and st.h.shape == (5,)
-        assert st.u.shape == (4, 5)
-        assert st.v.shape == (6, 5, 5)
-        assert np.array_equal(st.v[0], p.constants.mu_g * np.eye(5))
-        assert st.q.shape == (5,)
-        assert np.allclose(st.q, neumann_chain(st.v, p.constants.l_g) @ st.h)
+        state = init_agents(p, b=6)
+        assert state.x.shape == (3, 4) and not state.x.any()
+        assert state.y.shape == (3, 5) and state.s.shape == (3, 4) and state.h.shape == (3, 5)
+        assert state.u.shape == (3, 4, 5)
+        assert state.v.shape == (3, 6, 5, 5)
+        assert np.array_equal(state.v[0, 0], p.constants.mu_g * np.eye(5))
+        assert state.q.shape == (3, 5)
+        assert np.allclose(state.q[0], neumann_chain(state.v[0], p.constants.l_g) @ state.h[0])
 
     def test_agents_do_not_share_storage(self):
         p = make_quadratic(2, 3, 3, seed=1)
-        states = init_agents(p, b=2)
-        states[0].v[0, 0, 0] = 99.0
-        assert states[1].v[0, 0, 0] != 99.0
+        state = init_agents(p, b=2)
+        state.v[0, 0, 0, 0] = 99.0
+        assert state.v[1, 0, 0, 0] != 99.0
+
+    def test_row_count_override(self):
+        p = make_quadratic(4, 3, 2, seed=1)
+        state = init_agents(p, b=2, k=1)
+        assert state.x.shape == (1, 3) and state.v.shape == (1, 2, 2, 2)
+
+    def test_iterates_per_agent_row_views(self):
+        p = make_quadratic(3, 4, 5, seed=1)
+        state = init_agents(p, b=2)
+        rows = list(state)
+        assert len(rows) == 3
+        for k, row in enumerate(rows):
+            for f in STATE_FIELDS:
+                assert getattr(row, f).shape == getattr(state, f).shape[1:]
+                assert np.shares_memory(getattr(row, f), getattr(state, f)[k])
 
     def test_depth_must_be_positive(self):
         p = make_quadratic(2, 3, 3, seed=1)
@@ -290,121 +310,113 @@ class TestDsboRound:
         sched = StepSchedule("diminishing", c1=50.0, mu=1.0)
         return p, w, sched
 
-    def test_matches_manual_update(self, setup):
-        p, w, sched = setup
-        b = 3
-        states = init_agents(p, b)
+    @given(k=hst.integers(1, 5), d_x=hst.integers(1, 4), d_y=hst.integers(1, 4),
+           b=hst.integers(1, 4), seed=hst.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_manual_update(self, k, d_x, d_y, b, seed):
+        p = make_quadratic(k, d_x, d_y, seed=5, sigma_f=0.3, sigma_g=0.1)
+        l_g = p.constants.l_g
+        rng = np.random.default_rng(seed)
+        # a random symmetric doubly-stochastic mix: a convex sum of (P + P^T) / 2
+        perms = [np.eye(k)[rng.permutation(k)] for _ in range(3)]
+        mat = sum(c * (pm + pm.T) / 2 for c, pm in zip(rng.dirichlet(np.ones(3)), perms))
+        w = MixingMatrix(k=k, weights=mat, rho=eig_rho(mat))
+        sched = StepSchedule("diminishing", c1=50.0, mu=1.0)
         # desynchronize the agents so gossip actually mixes something
-        rng = np.random.default_rng(9)
-        states = [
-            type(st)(x=rng.standard_normal(4), y=rng.standard_normal(4),
-                     s=rng.standard_normal(4), h=rng.standard_normal(4),
-                     u=rng.standard_normal((4, 4)), v=st.v, q=st.q)
-            for st in states
-        ]
+        state = init_agents(p, b)
+        noise = rng.standard_normal((k, b, d_y, d_y)) * 0.05
+        state = dataclasses.replace(
+            state,
+            x=rng.standard_normal((k, d_x)), y=rng.standard_normal((k, d_y)),
+            s=rng.standard_normal((k, d_x)), h=rng.standard_normal((k, d_y)),
+            u=rng.standard_normal((k, d_x, d_y)),
+            v=state.v + noise + noise.transpose(0, 1, 3, 2),
+        )
         # keep the invariant q = Q_b(v) h / l_g so z carries a nonzero u q term
-        states = [
-            dataclasses.replace(st, q=neumann_chain(st.v, p.constants.l_g) @ st.h)
-            for st in states
-        ]
+        state = dataclasses.replace(state, q=np.stack(
+            [neumann_chain(state.v[a], l_g) @ state.h[a] for a in range(k)]))
         t = 4
-        streams = agent_round_streams(0, "oracle", 3, t)
-        out = dsbo_round(states, w, p, sched, t, streams)
+        out = dsbo_round(state, w, p, sched, t, agent_round_streams(0, "oracle", k, t))
 
-        alpha, beta = sched.alpha(t), sched.beta(t)
-        mat = w.weights
+        alpha, beta, gamma = sched.alpha(t), sched.beta(t), sched.gamma(t)
         samples = [
-            p.sample(a, states[a].x, states[a].y, s, b)
-            for a, s in enumerate(agent_round_streams(0, "oracle", 3, t))
+            p.sample(a, state.x[a], state.y[a], r, b)
+            for a, r in enumerate(agent_round_streams(0, "oracle", k, t))
         ]
-        for i in range(3):
-            z_old = [st.s - st.u @ st.q for st in states]
-            exp_x = sum(mat[i, j] * states[j].x for j in range(3)) - alpha * z_old[i]
-            exp_y = (sum(mat[i, j] * states[j].y for j in range(3))
-                     - sched.gamma(t) * samples[i].gy_g)
-            exp_s = ((1 - beta) * sum(mat[i, j] * states[j].s for j in range(3))
-                     + beta * samples[i].gx_f)
-            assert np.allclose(out[i].x, exp_x, atol=1e-13)
-            assert np.allclose(out[i].y, exp_y, atol=1e-13)
-            assert np.allclose(out[i].s, exp_s, atol=1e-13)
-            assert np.allclose(out[i].q, neumann_chain(out[i].v, p.constants.l_g) @ out[i].h)
+        for i in range(k):
+            def mixed(f):
+                return sum(mat[i, j] * getattr(state, f)[j] for j in range(k))
+
+            z_i = state.s[i] - state.u[i] @ state.q[i]
+            expect = {
+                "x": mixed("x") - alpha * z_i,
+                "y": mixed("y") - gamma * samples[i].gy_g,
+                "s": (1 - beta) * mixed("s") + beta * samples[i].gx_f,
+                "h": (1 - beta) * mixed("h") + beta * samples[i].gy_f,
+                "u": (1 - beta) * mixed("u") + beta * samples[i].hxy_g,
+                "v": (1 - beta) * mixed("v") + beta * samples[i].hyy_g_draws,
+            }
+            expect["q"] = neumann_chain(expect["v"], l_g) @ expect["h"]
+            assert set(expect) == set(STATE_FIELDS)
+            for f, value in expect.items():
+                np.testing.assert_allclose(getattr(out, f)[i], value, rtol=1e-12, atol=1e-12,
+                                           err_msg=f"field {f}, agent {i}")
 
     def test_reads_snapshot_not_partial_updates(self, setup):
         # agent 0's new x must combine the OLD x of its neighbors; verify by
         # checking the average-iterate recursion mean(x') = mean(x) - alpha*mean(z)
         p, w, sched = setup
-        states = init_agents(p, 2)
+        state = init_agents(p, 2)
         rng = np.random.default_rng(3)
-        states = [
-            type(st)(x=rng.standard_normal(4), y=st.y, s=rng.standard_normal(4),
-                     h=st.h, u=st.u, v=st.v, q=st.q)
-            for st in states
-        ]
+        state = dataclasses.replace(state, x=rng.standard_normal((3, 4)),
+                                    s=rng.standard_normal((3, 4)))
         t = 1
-        out = dsbo_round(states, w, p, sched, t, agent_round_streams(1, "oracle", 3, t))
-        zbar = np.mean([st.s - st.u @ st.q for st in states], axis=0)
-        expect = np.mean([st.x for st in states], axis=0) - sched.alpha(t) * zbar
-        assert np.allclose(np.mean([st.x for st in out], axis=0), expect, atol=1e-12)
+        out = dsbo_round(state, w, p, sched, t, agent_round_streams(1, "oracle", 3, t))
+        zbar = np.mean([state.s[a] - state.u[a] @ state.q[a] for a in range(3)], axis=0)
+        expect = state.x.mean(axis=0) - sched.alpha(t) * zbar
+        assert np.allclose(out.x.mean(axis=0), expect, atol=1e-12)
 
     def test_inputs_left_untouched(self, setup):
         p, w, sched = setup
-        states = init_agents(p, 2)
-        before = [st.x.copy() for st in states]
-        dsbo_round(states, w, p, sched, 0, agent_round_streams(0, "oracle", 3, 0))
-        for st, old in zip(states, before):
-            assert np.array_equal(st.x, old)
+        state = init_agents(p, 2)
+        before = {f: getattr(state, f).copy() for f in STATE_FIELDS}
+        dsbo_round(state, w, p, sched, 0, agent_round_streams(0, "oracle", 3, 0))
+        for f, old in before.items():
+            assert np.array_equal(getattr(state, f), old)
 
     def test_deterministic_replay(self, setup):
         p, w, sched = setup
         runs = []
         for _ in range(2):
-            states = init_agents(p, 2)
+            state = init_agents(p, 2)
             for t in range(5):
-                states = dsbo_round(states, w, p, sched, t,
-                                    agent_round_streams(7, "oracle", 3, t))
-            runs.append(states)
-        for a, b_ in zip(*runs):
-            for f in ("x", "y", "s", "h", "u", "v", "q"):
-                assert np.array_equal(getattr(a, f), getattr(b_, f))
-
-    def test_thread_pool_bitwise_identical(self):
-        p = make_quadratic(3, 4, 4, seed=5, sigma_f=0.3, sigma_g=0.1)
-        w = build_ring(3)
-        sched = StepSchedule("diminishing", c1=50.0, mu=1.0)
-        final = []
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            for use_pool in (None, pool):
-                states = init_agents(p, 2)
-                for t in range(4):
-                    states = dsbo_round(states, w, p, sched, t,
-                                        agent_round_streams(3, "oracle", 3, t),
-                                        pool=use_pool)
-                final.append(states)
-        for a, b_ in zip(*final):
-            assert np.array_equal(a.x, b_.x) and np.array_equal(a.v, b_.v)
+                state = dsbo_round(state, w, p, sched, t,
+                                   agent_round_streams(7, "oracle", 3, t))
+            runs.append(state)
+        for f in STATE_FIELDS:
+            assert np.array_equal(getattr(runs[0], f), getattr(runs[1], f))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_raises_with_location(self, setup):
         p, w, _ = setup
         huge = StepSchedule("constant", k=3, t_total=4, c0=1e300)
-        states = init_agents(p, 2)
+        state = init_agents(p, 2)
         rng = np.random.default_rng(0)
-        states = [type(st)(x=rng.standard_normal(4), y=st.y,
-                           s=np.full(4, 1e300), h=st.h, u=st.u, v=st.v, q=st.q)
-                  for st in states]
+        state = dataclasses.replace(state, x=rng.standard_normal((3, 4)),
+                                    s=np.full((3, 4), 1e300))
         with pytest.raises(DivergenceError) as exc:
-            dsbo_round(states, w, p, huge, 0, agent_round_streams(0, "oracle", 3, 0))
+            dsbo_round(state, w, p, huge, 0, agent_round_streams(0, "oracle", 3, 0))
         assert exc.value.field == "x"
 
     def test_converges_on_noiseless_quadratic(self, setup):
         p, w, sched = setup
         x_star, _ = p.optimum()
         # deep chain so the inversion bias floor sits far below the target
-        states = init_agents(p, 30)
+        state = init_agents(p, 30)
         for t in range(800):
-            states = dsbo_round(states, w, p, sched, t,
-                                agent_round_streams(0, "oracle", 3, t))
-        xbar = np.mean([st.x for st in states], axis=0)
+            state = dsbo_round(state, w, p, sched, t,
+                               agent_round_streams(0, "oracle", 3, t))
+        xbar = state.x.mean(axis=0)
         assert float(np.sum((xbar - x_star) ** 2)) < 1e-6
 
 

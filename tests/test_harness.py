@@ -327,11 +327,6 @@ class TestRun:
         threaded = trace_to_csv(run(cfg))
         assert serial == threaded
 
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("DSBO_THREADS", "lots")
-        with pytest.raises(ConfigError, match="DSBO_THREADS"):
-            run(quad_config(t_total=5))
-
     def test_coordinator_matches_gossip_single_agent(self):
         base = dict(
             t_total=60, b=3, seed=9,
