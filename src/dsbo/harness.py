@@ -30,6 +30,7 @@ from .core import StepSchedule, default_b, dsbo_round, init_agents
 from .errors import ConfigError, DivergenceError, NumericsError
 from .problems import (
     densify,
+    implicit_hypergrad,
     make_hyperopt,
     make_policy_eval,
     make_quadratic,
@@ -300,19 +301,30 @@ def read_trace(path: str) -> Trace:
         first = fh.readline()
         if not first.startswith("# "):
             raise ConfigError(f"{path}: missing JSON header line")
-        header = json.loads(first[2:])
+        try:
+            header = json.loads(first[2:])
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}:1: header is not valid JSON: {err}") from None
         columns = fh.readline().strip().split(",")
         if tuple(columns) != TRACE_COLUMNS:
             raise ConfigError(f"{path}: unexpected column set {columns}")
         records = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=3):
             if not line.strip():
                 continue
             cells = line.strip().split(",")
-            kwargs = {
-                name: (int(cell) if name in _INT_COLUMNS else float(cell))
-                for name, cell in zip(TRACE_COLUMNS, cells)
-            }
+            if len(cells) != len(TRACE_COLUMNS):
+                raise ConfigError(
+                    f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} cells, got {len(cells)}"
+                )
+            kwargs = {}
+            for name, cell in zip(TRACE_COLUMNS, cells):
+                try:
+                    kwargs[name] = int(cell) if name in _INT_COLUMNS else float(cell)
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}:{lineno}: column {name!r} holds {cell!r}, not a number"
+                    ) from None
             records.append(TraceRecord(**kwargs))
     return Trace(header=header, records=records)
 
@@ -340,12 +352,12 @@ class Recorder:
         ys = np.atleast_2d(ys)
         xbar = xs.mean(axis=0)
         ybar = ys.mean(axis=0)
-        grad = self.problem.exact_hypergrad(xbar)
+        y_star = self.problem.exact_lower(xbar)
+        exact = self.problem.exact_gradients(xbar, y_star)
+        grad = implicit_hypergrad(exact)
         diff = xbar - self.x_star
         errs = {"s": 0.0, "h": 0.0, "u": 0.0, "v": 0.0}
         if est is not None:
-            y_star = self.problem.exact_lower(xbar)
-            exact = self.problem.exact_gradients(xbar, y_star)
             errs["s"] = float(((est.s.mean(axis=0) - exact.gx_f) ** 2).sum())
             errs["h"] = float(((est.h.mean(axis=0) - exact.gy_f) ** 2).sum())
             errs["u"] = float(((est.u.mean(axis=0) - exact.hxy_g) ** 2).sum())
@@ -354,7 +366,7 @@ class Recorder:
             TraceRecord(
                 t=t,
                 grad_norm_sq=float(grad @ grad),
-                subopt=float(self.problem.objective(xbar) - self.f_star),
+                subopt=float(self.problem.outer_value(xbar, y_star) - self.f_star),
                 mse=float(diff @ diff),
                 consensus_x=float(((xs - xbar) ** 2).sum()),
                 consensus_y=float(((ys - ybar) ** 2).sum()),
@@ -474,8 +486,13 @@ def resolve_reference(problem) -> tuple[np.ndarray, float, str]:
         return np.asarray(x_star, dtype=float), float(f_star), "closed-form"
     from scipy import optimize
 
+    def value_and_grad(x):
+        y_star = problem.exact_lower(x)
+        exact = problem.exact_gradients(x, y_star)
+        return problem.outer_value(x, y_star), implicit_hypergrad(exact)
+
     result = optimize.minimize(
-        lambda x: (problem.objective(x), problem.exact_hypergrad(x)),
+        value_and_grad,
         np.zeros(problem.d_x),
         jac=True,
         method="L-BFGS-B",
@@ -504,6 +521,9 @@ def run(config: RunConfig) -> Trace:
         raise ConfigError(f"unknown algorithm {config.algorithm!r} (expected one of {ALGORITHMS})")
     if config.t_total < 1:
         raise ConfigError(f"t_total must be >= 1, got {config.t_total}")
+    for name in ("b", "cadence"):
+        if getattr(config, name) < 0:
+            raise ConfigError(f"{name} must be >= 0 (0 derives it), got {getattr(config, name)}")
     k = config.topology.k
     problem = build_problem(config.problem, k)
     schedule = schedule_from_config(config.schedule, k, config.t_total)

@@ -5,6 +5,7 @@ from .base import (
     ExactGradients,
     ProblemConstants,
     StochasticSample,
+    implicit_hypergrad,
 )
 from .data import densify, parse_libsvm, split_partition, train_val_split
 from .hyperopt import (
@@ -28,6 +29,7 @@ __all__ = [
     "QuadraticBilevel",
     "StochasticSample",
     "densify",
+    "implicit_hypergrad",
     "logistic_grad",
     "logistic_loss",
     "make_hyperopt",

@@ -33,15 +33,13 @@ class ProblemConstants:
     mu_g: float
     l_g: float
     kappa_g: float
-    c_f: float
-    l_f: float
     sigma_f: float
     sigma_g: float
 
     def __post_init__(self):
         if self.d_x < 1 or self.d_y < 1:
             raise ConfigError(f"dimensions must be >= 1, got ({self.d_x}, {self.d_y})")
-        for name in ("mu_g", "l_g", "kappa_g", "c_f", "l_f"):
+        for name in ("mu_g", "l_g", "kappa_g"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"constant {name} must be positive, got {getattr(self, name)!r}")
         if self.sigma_f < 0 or self.sigma_g < 0:
@@ -56,11 +54,6 @@ class ProblemConstants:
                 f"kappa_g = {self.kappa_g!r} outside (0, mu_g/l_g] = "
                 f"(0, {self.mu_g / self.l_g!r}]"
             )
-
-    @property
-    def l_q(self) -> float:
-        """Bound on the norm of the truncated inverse Q_b(v) / l_g."""
-        return 1.0 / (self.kappa_g * self.l_g)
 
 
 @dataclass(frozen=True)
@@ -86,6 +79,15 @@ class ExactGradients(NamedTuple):
     gy_g: np.ndarray
     hxy_g: np.ndarray
     hyy_g: np.ndarray
+
+
+def implicit_hypergrad(exact: ExactGradients) -> np.ndarray:
+    """grad F = gx_f - hxy_g [hyy_g]^{-1} gy_f, evaluated at y = y*(x).
+
+    The implicit-function form of the hypergradient; the round's
+    estimator z = s - u q approximates the same expression.
+    """
+    return exact.gx_f - exact.hxy_g @ np.linalg.solve(exact.hyy_g, exact.gy_f)
 
 
 class BilevelProblem(abc.ABC):
@@ -117,16 +119,20 @@ class BilevelProblem(abc.ABC):
         """Unique minimizer y*(x) of the agent-averaged inner objective."""
 
     @abc.abstractmethod
-    def exact_hypergrad(self, x: np.ndarray) -> np.ndarray:
-        """Total derivative of F(x) = f(x, y*(x)) through the inner solution."""
-
-    @abc.abstractmethod
-    def objective(self, x: np.ndarray) -> float:
-        """F(x), the outer objective at the exact inner solution."""
-
-    @abc.abstractmethod
     def exact_gradients(self, x: np.ndarray, y: np.ndarray) -> ExactGradients:
         """Agent-averaged exact oracle quantities at an arbitrary (x, y)."""
+
+    @abc.abstractmethod
+    def outer_value(self, x: np.ndarray, y: np.ndarray) -> float:
+        """Agent-averaged outer objective f(x, y) at an arbitrary (x, y)."""
+
+    def exact_hypergrad(self, x: np.ndarray) -> np.ndarray:
+        """Total derivative of F(x) = f(x, y*(x)) through the inner solution."""
+        return implicit_hypergrad(self.exact_gradients(x, self.exact_lower(x)))
+
+    def objective(self, x: np.ndarray) -> float:
+        """F(x), the outer objective at the exact inner solution."""
+        return self.outer_value(x, self.exact_lower(x))
 
     def optimum(self) -> tuple[np.ndarray, float] | None:
         """(x*, F*) when known in closed form, else None."""

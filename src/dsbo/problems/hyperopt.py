@@ -46,6 +46,22 @@ def logistic_grad(y, w, z) -> np.ndarray:
     return (float(expit(t)) - z) * np.asarray(w, dtype=float)
 
 
+def _pool(parts):
+    """Concatenate per-agent (w, z) shards into one pooled set.
+
+    Returns the pooled features and labels, the per-row weight 1/(K n_k)
+    that turns a weighted sum over the pool into the agent average of
+    per-shard means, and each agent's shard as a view into the pool.
+    """
+    sizes = np.array([z.shape[0] for _, z in parts])
+    w = np.concatenate([w for w, _ in parts])
+    z = np.concatenate([z for _, z in parts])
+    weight = np.repeat(1.0 / (len(parts) * sizes), sizes)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    shards = [(w[lo:hi], z[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return w, z, weight, shards
+
+
 class HyperoptBilevel(BilevelProblem):
     def __init__(self, train_parts, val_parts, lam_min: float = 1e-3, minibatch: int = 1):
         if lam_min <= 0:
@@ -55,12 +71,12 @@ class HyperoptBilevel(BilevelProblem):
         self.k = len(train_parts)
         if self.k == 0 or len(val_parts) != self.k:
             raise ConfigError("need one train and one validation part per agent")
-        self._train = [(np.asarray(w, dtype=float), np.asarray(z, dtype=float)) for w, z in train_parts]
-        self._val = [(np.asarray(w, dtype=float), np.asarray(z, dtype=float)) for w, z in val_parts]
-        dims = {w.shape[1] for w, _ in self._train} | {w.shape[1] for w, _ in self._val}
+        train = [(np.asarray(w, dtype=float), np.asarray(z, dtype=float)) for w, z in train_parts]
+        val = [(np.asarray(w, dtype=float), np.asarray(z, dtype=float)) for w, z in val_parts]
+        dims = {w.shape[1] for w, _ in train} | {w.shape[1] for w, _ in val}
         if len(dims) != 1:
             raise ConfigError(f"feature-dimension mismatch across partitions: {sorted(dims)}")
-        for which, parts in (("train", self._train), ("validation", self._val)):
+        for which, parts in (("train", train), ("validation", val)):
             for agent, (w, z) in enumerate(parts):
                 if w.shape[0] == 0:
                     raise ConfigError(f"agent {agent} has an empty {which} partition")
@@ -69,9 +85,10 @@ class HyperoptBilevel(BilevelProblem):
         dim = dims.pop()
         self.lam_min = float(lam_min)
         self.minibatch = int(minibatch)
+        self._train_w, self._train_z, self._train_wt, self._train = _pool(train)
+        self._val_w, self._val_z, self._val_wt, self._val = _pool(val)
         self._train_sqnorms = [np.einsum("ij,ij->i", w, w) for w, _ in self._train]
         max_sq = max(float(s.max()) for s in self._train_sqnorms)
-        max_val_norm = max(float(np.linalg.norm(w, axis=1).max()) for w, _ in self._val)
 
         # l_g covers the data curvature plus regularizer weights up to
         # softplus(x_i) ~ 2; larger weights are projected back into the
@@ -83,15 +100,11 @@ class HyperoptBilevel(BilevelProblem):
             mu_g=self.lam_min,
             l_g=l_g,
             kappa_g=self.lam_min / l_g,
-            c_f=max_val_norm,
-            l_f=0.25 * max_val_norm**2,
             sigma_f=0.0,
             sigma_g=0.0,
         )
         self._spec_lo = self.constants.l_g * self.constants.kappa_g
         self._spec_hi = self.constants.l_g * (2.0 - self.constants.kappa_g)
-        # One-entry memo of exact_lower: (x bytes, read-only y*(x)).
-        self._lower_memo: tuple[bytes, np.ndarray] | None = None
 
     def _reg_weights(self, x):
         return softplus(x) + self.lam_min
@@ -126,48 +139,23 @@ class HyperoptBilevel(BilevelProblem):
             hyy = clip_spectrum(hyy, self._spec_lo, self._spec_hi)
         return StochasticSample(gx_f=gx_f, gy_f=gy_f, gy_g=gy_g, hxy_g=hxy, hyy_g_draws=hyy)
 
-    # Full-data inner quantities, averaged over agents.
+    # Full-data quantities: one weighted sum over the pooled rows gives the
+    # agent average of per-shard means.
     def _full_inner_grad(self, x, y):
-        reg = self._reg_weights(x)
-        acc = np.zeros(self.d_y)
-        for w, z in self._train:
-            acc += ((sigmoid(w @ y) - z)[:, None] * w).mean(axis=0)
-        return acc / self.k + reg * y
+        resid = sigmoid(self._train_w @ y) - self._train_z
+        return (self._train_wt * resid) @ self._train_w + self._reg_weights(x) * y
 
     def _full_inner_hess(self, x, y):
-        reg = self._reg_weights(x)
-        acc = np.zeros((self.d_y, self.d_y))
-        for w, _ in self._train:
-            curv = sigmoid(w @ y)
-            curv = curv * (1.0 - curv)
-            acc += (w * curv[:, None]).T @ w / w.shape[0]
-        return acc / self.k + np.diag(reg)
+        curv = sigmoid(self._train_w @ y)
+        curv = self._train_wt * curv * (1.0 - curv)
+        return (self._train_w.T * curv) @ self._train_w + np.diag(self._reg_weights(x))
 
     def _full_outer_grad_y(self, y):
-        acc = np.zeros(self.d_y)
-        for w, z in self._val:
-            acc += ((sigmoid(w @ y) - z)[:, None] * w).mean(axis=0)
-        return acc / self.k
+        resid = sigmoid(self._val_w @ y) - self._val_z
+        return (self._val_wt * resid) @ self._val_w
 
     def exact_lower(self, x):
-        """Damped-Newton y*(x), memoized for the last x (returned read-only).
-
-        A record evaluates the hypergradient, the objective and the
-        estimator errors at the same x, and each L-BFGS evaluation of the
-        reference solve asks for the objective and its gradient there:
-        all of them share one solve.
-        """
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        memo = self._lower_memo
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        y = self._newton_lower(x)
-        y.setflags(write=False)
-        self._lower_memo = (key, y)
-        return y
-
-    def _newton_lower(self, x):
+        """y*(x) by damped Newton on the full-data inner objective."""
         y = np.zeros(self.d_y)
         for _ in range(100):
             grad = self._full_inner_grad(x, y)
@@ -187,19 +175,9 @@ class HyperoptBilevel(BilevelProblem):
                 raise NumericsError("inner Newton solve stalled")
         raise NumericsError("inner Newton solve did not reach tolerance in 100 steps")
 
-    def exact_hypergrad(self, x):
-        y_star = self.exact_lower(x)
-        hyy = self._full_inner_hess(x, y_star)
-        gy_f = self._full_outer_grad_y(y_star)
-        return -(sigmoid(x) * y_star) * np.linalg.solve(hyy, gy_f)
-
-    def objective(self, x):
-        y_star = self.exact_lower(x)
-        total = 0.0
-        for w, z in self._val:
-            t = w @ y_star
-            total += float(np.mean(np.logaddexp(0.0, t) - z * t))
-        return total / self.k
+    def outer_value(self, x, y):
+        t = self._val_w @ y
+        return float(self._val_wt @ (np.logaddexp(0.0, t) - self._val_z * t))
 
     def exact_gradients(self, x, y):
         return ExactGradients(

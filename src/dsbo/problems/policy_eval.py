@@ -67,25 +67,22 @@ class PolicyEvalBilevel(BilevelProblem):
         self._c_k = (self._p * self._rbar).sum(axis=2)  # (k, n_states)
         self._cbar = self._c_k.mean(axis=0)
         self._p_phi = self._p @ self._phi  # (n_states, feat_dim)
-        self._m = self._phi - self.gamma * self._p_phi
         self._hxy_exact = -self.gamma * self._p_phi.T  # (feat_dim, n_states)
         self._eye = np.eye(n_states)
         self._eye.setflags(write=False)
 
-        l_f = float(np.linalg.eigvalsh(self._phi.T @ self._phi / n_states).max() + lam)
         self.constants = ProblemConstants(
             d_x=feat_dim,
             d_y=n_states,
             mu_g=1.0,
             l_g=1.0,
             kappa_g=1.0,
-            c_f=1.0 + self.lam,
-            l_f=l_f,
             sigma_f=0.0,
             sigma_g=self.sigma_r,
         )
-        lhs = self._m.T @ self._m / n_states + self.lam * np.eye(feat_dim)
-        self._x_star = np.linalg.solve(lhs, self._m.T @ self._cbar / n_states)
+        m = self._phi - self.gamma * self._p_phi
+        lhs = m.T @ m / n_states + self.lam * np.eye(feat_dim)
+        self._x_star = np.linalg.solve(lhs, m.T @ self._cbar / n_states)
         self._f_star = self.objective(self._x_star)
 
     # The two outer gradients carry no sampling noise in this family; all
@@ -122,11 +119,8 @@ class PolicyEvalBilevel(BilevelProblem):
     def exact_lower(self, x):
         return self._cbar + self.gamma * (self._p_phi @ x)
 
-    def exact_hypergrad(self, x):
-        return self._m.T @ (self._m @ x - self._cbar) / self.d_y + self.lam * x
-
-    def objective(self, x):
-        resid = self._m @ x - self._cbar
+    def outer_value(self, x, y):
+        resid = self._phi @ x - y
         return 0.5 * float(resid @ resid) / self.d_y + 0.5 * self.lam * float(x @ x)
 
     def exact_gradients(self, x, y):

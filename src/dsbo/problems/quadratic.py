@@ -82,8 +82,6 @@ class QuadraticBilevel(BilevelProblem):
             mu_g=mu_g,
             l_g=l_g,
             kappa_g=float(kappa_g),
-            c_f=float(2.0 + np.abs(self._a).max() + np.abs(self._d).max()),
-            l_f=1.0,
             sigma_f=sigma_f,
             sigma_g=sigma_g,
         )
@@ -118,13 +116,9 @@ class QuadraticBilevel(BilevelProblem):
     def exact_lower(self, x):
         return self._b_inv @ (self._c.T @ x - self._dbar)
 
-    def exact_hypergrad(self, x):
-        return (x - self._abar) + self._c @ (self._b_inv @ self.exact_lower(x))
-
-    def objective(self, x):
-        y_star = self.exact_lower(x)
+    def outer_value(self, x, y):
         shift = x - self._a
-        return 0.5 * float(y_star @ y_star) + 0.5 * float((shift * shift).sum()) / self.k
+        return 0.5 * float(y @ y) + 0.5 * float((shift * shift).sum()) / self.k
 
     def exact_gradients(self, x, y):
         return ExactGradients(

@@ -322,6 +322,14 @@ class TestPlotdata:
         assert code == EXIT_USAGE
         assert "trace file not found" in capsys.readouterr().err
 
+    def test_malformed_trace_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        write_trace(Trace(header={"config": {}}, records=[rec(0), rec(1)]), str(path))
+        path.write_text(path.read_text() + "2,0.5\n")
+        code = main(["plotdata", str(path), "--out", str(tmp_path / "plot")])
+        assert code == EXIT_CONFIG
+        assert f"{path}:5: expected 12 cells, got 2" in capsys.readouterr().err
+
     def test_disjoint_grids_are_rejected(self, tmp_path, capsys):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         write_trace(Trace(header={"config": {}}, records=[rec(1), rec(3)]), p1)

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,19 @@ class TestTraceSerialization:
         with pytest.raises(ConfigError, match="column"):
             read_trace(str(path))
 
+    @pytest.mark.parametrize("index,bad,match", [
+        (0, "# {not json", "1: header is not valid JSON"),
+        (3, "1,0.0,0.0", "4: expected 12 cells, got 3"),
+        (3, ",".join(["1", "abc"] + ["0.0"] * 10), "4: column 'grad_norm_sq' holds 'abc'"),
+    ])
+    def test_read_rejects_malformed_lines(self, tmp_path, index, bad, match):
+        lines = trace_to_csv(Trace(header={}, records=[rec(0), rec(1)])).splitlines()
+        lines[index] = bad
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{match}")):
+            read_trace(str(path))
+
     def test_column_accessor(self):
         trace = Trace(header={}, records=[rec(0, mse=2.0), rec(1, mse=4.0)])
         assert trace.column("mse").tolist() == [2.0, 4.0]
@@ -319,14 +333,6 @@ class TestRun:
         b = trace_to_csv(run(cfg))
         assert a == b
 
-    def test_thread_count_does_not_change_bytes(self, monkeypatch):
-        cfg = quad_config(t_total=25)
-        monkeypatch.delenv("DSBO_THREADS", raising=False)
-        serial = trace_to_csv(run(cfg))
-        monkeypatch.setenv("DSBO_THREADS", "4")
-        threaded = trace_to_csv(run(cfg))
-        assert serial == threaded
-
     def test_coordinator_matches_gossip_single_agent(self):
         base = dict(
             t_total=60, b=3, seed=9,
@@ -347,6 +353,11 @@ class TestRun:
     def test_nonpositive_horizon(self):
         with pytest.raises(ConfigError, match="t_total"):
             run(quad_config(t_total=0))
+
+    @pytest.mark.parametrize("key,value", [("b", -3), ("cadence", -2)])
+    def test_negative_depth_or_cadence_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
+            run(quad_config(**{key: value}))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_carries_partial_trace(self):

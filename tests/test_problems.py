@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from dsbo import (
     ConfigError,
     DataFormatError,
-    NumericsError,
     ProblemConstants,
     QuadraticBilevel,
+    Recorder,
     densify,
+    init_agents,
     make_hyperopt,
     make_policy_eval,
     make_quadratic,
@@ -24,7 +25,8 @@ from dsbo import (
     stream,
     train_val_split,
 )
-from dsbo.problems.hyperopt import logistic_grad, logistic_loss
+from dsbo.harness import resolve_reference
+from dsbo.problems.hyperopt import logistic_grad, logistic_loss, sigmoid, softplus
 
 
 def finite_diff_hypergrad(problem, x, step=1e-5):
@@ -39,23 +41,23 @@ def finite_diff_hypergrad(problem, x, step=1e-5):
 class TestProblemConstants:
     def test_accepts_valid(self):
         c = ProblemConstants(d_x=2, d_y=3, mu_g=0.5, l_g=1.5, kappa_g=0.2,
-                             c_f=1.0, l_f=1.0, sigma_f=0.1, sigma_g=0.1)
-        assert c.l_q == pytest.approx(1.0 / (0.2 * 1.5))
+                             sigma_f=0.1, sigma_g=0.1)
+        assert (c.d_x, c.d_y, c.kappa_g) == (2, 3, 0.2)
 
     def test_rejects_kappa_above_ratio(self):
         with pytest.raises(ConfigError):
             ProblemConstants(d_x=2, d_y=3, mu_g=0.5, l_g=1.5, kappa_g=0.5,
-                             c_f=1.0, l_f=1.0, sigma_f=0.0, sigma_g=0.0)
+                             sigma_f=0.0, sigma_g=0.0)
 
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ConfigError):
             ProblemConstants(d_x=2, d_y=3, mu_g=0.5, l_g=1.5, kappa_g=0.0,
-                             c_f=1.0, l_f=1.0, sigma_f=0.0, sigma_g=0.0)
+                             sigma_f=0.0, sigma_g=0.0)
 
     def test_rejects_mu_above_l(self):
         with pytest.raises(ConfigError):
             ProblemConstants(d_x=2, d_y=3, mu_g=2.0, l_g=1.5, kappa_g=0.5,
-                             c_f=1.0, l_f=1.0, sigma_f=0.0, sigma_g=0.0)
+                             sigma_f=0.0, sigma_g=0.0)
 
 
 class TestQuadraticScalarExample:
@@ -320,51 +322,77 @@ class TestHyperopt:
         prob = make_synthetic_hyperopt(2, 20, 3, seed=11)
         assert prob.optimum() is None
 
-    def test_exact_lower_memo(self, monkeypatch):
+    @given(
+        st.lists(st.tuples(st.integers(1, 7), st.integers(1, 7)), min_size=1, max_size=4),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pooled_evaluators_match_per_agent_loop(self, sizes, dim, seed):
+        # Unequal (train, validation) shard sizes per agent; the reference
+        # averages per-point logistic terms within each shard, then over
+        # agents. atol covers cancellation between O(1) per-point terms.
+        rng = np.random.default_rng(seed)
+        datasets = [
+            tuple((rng.standard_normal((n, dim)), (rng.random(n) < 0.5).astype(float))
+                  for n in (n_tr, n_va))
+            for n_tr, n_va in sizes
+        ]
+        k = len(datasets)
+        prob = make_hyperopt(k, datasets, reg_floor=0.01)
+        x, y = rng.standard_normal(dim), rng.standard_normal(dim)
+
+        def agent_mean(term, part):
+            w, z = part
+            return np.mean([term(y, w_j, z_j) for w_j, z_j in zip(w, z)], axis=0)
+
+        def curvature(y, w, z):
+            s = float(sigmoid(np.dot(w, y)))
+            return s * (1.0 - s) * np.outer(w, w)
+
+        reg = softplus(x) + 0.01
+        want_gy_g = sum(agent_mean(logistic_grad, tr) for tr, _ in datasets) / k + reg * y
+        want_hyy = sum(agent_mean(curvature, tr) for tr, _ in datasets) / k + np.diag(reg)
+        want_gy_f = sum(agent_mean(logistic_grad, va) for _, va in datasets) / k
+        want_f = sum(agent_mean(logistic_loss, va) for _, va in datasets) / k
+
+        exact = prob.exact_gradients(x, y)
+        np.testing.assert_allclose(exact.gy_g, want_gy_g, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(exact.hyy_g, want_hyy, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(exact.gy_f, want_gy_f, rtol=1e-12, atol=1e-13)
+        assert prob.outer_value(x, y) == pytest.approx(want_f, rel=1e-12)
+
+    def test_one_inner_solve_per_exact_evaluation(self, monkeypatch):
+        from scipy import optimize
+
         prob = make_synthetic_hyperopt(2, 30, 3, seed=7)
         solves = []
-        newton = prob._newton_lower
+        newton = prob.exact_lower
 
-        def counting(x):
+        def counting_lower(x):
             solves.append(1)
             return newton(x)
 
-        monkeypatch.setattr(prob, "_newton_lower", counting)
-        x = np.array([0.3, -0.2, 0.1])
-        y = prob.exact_lower(x)
-        assert not y.flags.writeable
-        with pytest.raises(ValueError):
-            y[0] = 1.0
-        again = prob.exact_lower(x.copy())  # equal values, distinct array
-        assert np.array_equal(again, y) and len(solves) == 1
-        prob.exact_hypergrad(x)
-        prob.objective(x)
+        monkeypatch.setattr(prob, "exact_lower", counting_lower)
+        state = init_agents(prob, b=2)
+        recorder = Recorder(prob, cadence=1, t_total=1, x_star=np.zeros(3), f_star=0.0)
+        recorder.record(0, state.x, state.y, 0, 0, est=state)
         assert len(solves) == 1
-        assert np.array_equal(y, newton(x))
 
-        other = prob.exact_lower(x + 1.0)
-        assert len(solves) == 2
-        assert np.array_equal(other, newton(x + 1.0))
-        assert not np.array_equal(other, y)
+        evals = []
+        minimize = optimize.minimize
 
-    def test_exact_lower_error_not_memoized(self, monkeypatch):
-        prob = make_synthetic_hyperopt(2, 30, 3, seed=7)
-        calls = []
-        newton = prob._newton_lower
+        def counting_minimize(fun, x0, **kwargs):
+            def counted(x):
+                evals.append(1)
+                return fun(x)
 
-        def fail_once(x):
-            calls.append(1)
-            if len(calls) == 1:
-                raise NumericsError("inner Newton solve stalled")
-            return newton(x)
+            return minimize(counted, x0, **kwargs)
 
-        monkeypatch.setattr(prob, "_newton_lower", fail_once)
-        x = np.zeros(3)
-        with pytest.raises(NumericsError):
-            prob.exact_lower(x)
-        y = prob.exact_lower(x)
-        assert len(calls) == 2
-        assert np.array_equal(y, newton(x))
+        monkeypatch.setattr(optimize, "minimize", counting_minimize)
+        solves.clear()
+        resolve_reference(prob)
+        assert len(evals) > 1 and len(solves) == len(evals)
 
 
 class TestParseLibsvm:
