@@ -97,7 +97,8 @@ def dbsa_run(
     (warm-started from the previous outer step), then moves x along a
     sampled partial gradient of the outer objective.  Inner samples
     therefore grow quadratically: after finishing outer step t each agent
-    has consumed t(t+1)/2 inner draws.
+    has consumed t(t+1)/2 inner draws.  ``alpha_schedule(t)`` and
+    ``eta_schedule(i)`` give the outer and inner step sizes.
 
     ``full_hypergrad`` bolts the implicit-gradient correction onto the x
     update (built from ``corr_depth`` fresh Hessian draws); the default
@@ -110,7 +111,6 @@ def dbsa_run(
     ys = np.zeros((n_agents, consts.d_y))
     zeta = xi = 0  # per-agent cumulative draws
     recorder.record(0, xs, ys, zeta, xi)
-    alpha_of = alpha_schedule.alpha if hasattr(alpha_schedule, "alpha") else alpha_schedule
 
     try:
         for t in range(t_total):
@@ -140,7 +140,7 @@ def dbsa_run(
                 for agent, sm in enumerate(outer):
                     q = neumann_chain(sm.hyy_g_draws, consts.l_g)
                     steps[agent] -= sm.hxy_g @ (q @ sm.gy_f)
-            xs = gossip_mix(xs, w) - alpha_of(t) * steps
+            xs = gossip_mix(xs, w) - alpha_schedule(t) * steps
             zeta += 1
             check_finite((("x", xs), ("y", ys)), t)
             recorder.record(t + 1, xs, ys, zeta, xi)
@@ -166,7 +166,7 @@ def dsgd_run(
     Jacobian draw into the outer gradient at that estimate.  For
     heterogeneous instances the product of independently sampled factors
     does not average to the true gradient, which is exactly the bias the
-    corrected algorithm removes.
+    corrected algorithm removes.  Step sizes are taken as in ``dbsa_run``.
     """
     if not getattr(problem, "compositional", False):
         raise UnsupportedProblemError(
@@ -179,7 +179,6 @@ def dsgd_run(
     inner = np.zeros((n_agents, problem.comp_dim))
     zeta = xi = 0
     recorder.record(0, xs, inner[:, : problem.d_y], zeta, xi)
-    alpha_of = alpha_schedule.alpha if hasattr(alpha_schedule, "alpha") else alpha_schedule
 
     try:
         for t in range(t_total):
@@ -202,7 +201,7 @@ def dsgd_run(
                 rng = stream(master_seed, "dsgd-outer", agent, t)
                 jac_t = problem.comp_jac(agent, xs[agent], rng)
                 steps[agent] = jac_t @ problem.comp_outer_grad(inner[agent], rng)
-            xs = gossip_mix(xs, w) - alpha_of(t) * steps
+            xs = gossip_mix(xs, w) - alpha_schedule(t) * steps
             zeta += 1
             xi += 1  # Jacobian draw
             check_finite((("x", xs), ("y", inner)), t)

@@ -175,9 +175,12 @@ def _coerce(value, target_type, key: str):
         if isinstance(value, bool):
             raise ConfigError(f"{key}: expected a number, got {value!r}")
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        if not math.isfinite(number):
+            raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+        return number
     if target_type is str:
         if not isinstance(value, str):
             raise ConfigError(f"{key}: expected a string, got {value!r}")
@@ -387,16 +390,22 @@ class Recorder:
 # Builders
 
 
+# The constants each step-size regime reads (see StepSchedule).
+_REGIME_CONSTANTS = {
+    "constant": ("c0", "beta_scale"),
+    "diminishing": ("c1", "mu"),
+    "capped": ("alpha_cap", "alpha_num", "beta_cap", "beta_num"),
+}
+
+
 def make_schedule(regime: str, constants: dict, k: int, t_total: int) -> StepSchedule:
-    """Build a step schedule from a constants mapping (see StepSchedule)."""
-    allowed = {
-        "constant": ("c0", "beta_scale"),
-        "diminishing": ("c1", "mu"),
-        "capped": ("alpha_cap", "alpha_num", "beta_cap", "beta_num"),
-    }
-    if regime not in allowed:
+    """Build a step schedule from a constants mapping (see StepSchedule).
+
+    Constants that the regime does not read are rejected.
+    """
+    if regime not in _REGIME_CONSTANTS:
         raise ConfigError(f"unknown schedule regime {regime!r}")
-    extra = set(constants) - set(allowed[regime])
+    extra = set(constants) - set(_REGIME_CONSTANTS[regime])
     if extra:
         raise ConfigError(f"constants {sorted(extra)} do not apply to the {regime} regime")
     return StepSchedule(regime=regime, k=k, t_total=t_total, **constants)
@@ -464,22 +473,20 @@ def build_problem(cfg: ProblemConfig, k: int):
 
 
 def schedule_from_config(cfg: ScheduleConfig, k: int, t_total: int) -> StepSchedule:
-    constants = {
-        "constant": {"c0": cfg.c0, "beta_scale": cfg.beta_scale},
-        "diminishing": {"c1": cfg.c1, "mu": cfg.mu},
-        "capped": {
-            "alpha_cap": cfg.alpha_cap, "alpha_num": cfg.alpha_num,
-            "beta_cap": cfg.beta_cap, "beta_num": cfg.beta_num,
-        },
-    }.get(cfg.regime)
-    if constants is None:
-        raise ConfigError(f"unknown schedule regime {cfg.regime!r}")
-    return make_schedule(cfg.regime, constants, k, t_total)
+    """The schedule of ``cfg.regime``, built from the constants it reads."""
+    names = _REGIME_CONSTANTS.get(cfg.regime, ())
+    return make_schedule(cfg.regime, {n: getattr(cfg, n) for n in names}, k, t_total)
 
 
 def resolve_reference(problem) -> tuple[np.ndarray, float, str]:
     """(x*, F*, provenance): closed form when the family has one, else a
-    deterministic high-accuracy solve of the exact outer objective."""
+    deterministic high-accuracy solve of the exact outer objective.
+
+    Hyperopt's numeric x* is not unique: F is flat where the softplus
+    regularizer saturates, and where the solve stops along that flat
+    direction depends on the last bits of the gradient.  Its ``mse`` is
+    only indicative; ``subopt`` is the column to read.
+    """
     opt = problem.optimum()
     if opt is not None:
         x_star, f_star = opt
@@ -532,6 +539,8 @@ def run(config: RunConfig) -> Trace:
     )
     cadence = config.cadence if config.cadence > 0 else default_cadence(config.t_total)
     x_star, f_star, ref_kind = resolve_reference(problem)
+    # the star network of fedsbo has no mixing matrix
+    w = None if config.algorithm == "fedsbo" else build_topology(config.topology)
 
     resolved = config.to_dict()
     resolved["b"] = b
@@ -542,7 +551,7 @@ def run(config: RunConfig) -> Trace:
             "x_star": [float(v) for v in x_star],
             "f_star": f_star,
             "kind": ref_kind,
-            "rho": None,
+            "rho": None if w is None else w.rho,
             "b_effective": b,
             "cadence": cadence,
         },
@@ -552,8 +561,6 @@ def run(config: RunConfig) -> Trace:
     try:
         if config.algorithm in ("dsbo", "fedsbo"):
             if config.algorithm == "dsbo":
-                w = build_topology(config.topology)
-                header["reference"]["rho"] = w.rho
                 state = init_agents(problem, b)
 
                 def advance(state, t, streams):
@@ -572,19 +579,15 @@ def run(config: RunConfig) -> Trace:
                 xi += 1 + b
                 recorder.record(t + 1, state.x, state.y, zeta, xi, est=state)
         elif config.algorithm == "dbsa":
-            w = build_topology(config.topology)
-            header["reference"]["rho"] = w.rho
             dbsa_run(
-                problem, w, config.t_total, schedule, sgd_eta(config.dbsa.eta_c),
+                problem, w, config.t_total, schedule.alpha, sgd_eta(config.dbsa.eta_c),
                 config.seed, recorder,
                 full_hypergrad=config.dbsa.full_hypergrad,
                 corr_depth=config.dbsa.corr_depth,
             )
         else:  # dsgd
-            w = build_topology(config.topology)
-            header["reference"]["rho"] = w.rho
             dsgd_run(
-                problem, w, config.t_total, schedule, sgd_eta(config.dbsa.eta_c),
+                problem, w, config.t_total, schedule.alpha, sgd_eta(config.dbsa.eta_c),
                 config.seed, recorder,
             )
     except DivergenceError as err:

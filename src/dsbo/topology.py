@@ -14,7 +14,7 @@ mixing at all (disconnected, e.g. the identity).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import (
     NegativeEntryError,
     NotDoublyStochasticError,
     NotSymmetricError,
-    NumericsError,
     TopologyError,
 )
 
@@ -31,21 +30,29 @@ from .errors import (
 # exact to machine precision and pass a far tighter bound.
 _SUM_TOL = 1e-9
 
-_POWER_ITER_CAP = 10_000
-
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Validated gossip matrix with its cached spectral quantity."""
+    """Validated, read-only gossip matrix with its contraction factor.
 
-    k: int
+    ``MixingMatrix(weights)`` copies the weights, checks that they are
+    square, nonnegative, symmetric and doubly stochastic, and sets
+    ``rho = spectral_gap(weights)``.
+    """
+
     weights: np.ndarray
-    rho: float
+    rho: float = field(init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
+        w = np.array(self.weights, dtype=float)
+        _validate(w)
         w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "rho", spectral_gap(w))
+
+    @property
+    def k(self) -> int:
+        return self.weights.shape[0]
 
 
 def _validate(w: np.ndarray) -> None:
@@ -77,16 +84,14 @@ def build_ring(k: int) -> MixingMatrix:
     w[idx, idx] = 1.0 / 3.0
     w[idx, (idx + 1) % k] = 1.0 / 3.0
     w[idx, (idx - 1) % k] = 1.0 / 3.0
-    _validate(w)
-    return MixingMatrix(k=k, weights=w, rho=spectral_gap(w))
+    return MixingMatrix(w)
 
 
 def build_complete(k: int) -> MixingMatrix:
     """Complete graph: every entry 1/K, rho = 0."""
     if k < 1:
         raise TopologyError(f"agent count must be positive, got {k}")
-    w = np.full((k, k), 1.0 / k)
-    return MixingMatrix(k=k, weights=w, rho=spectral_gap(w))
+    return MixingMatrix(np.full((k, k), 1.0 / k))
 
 
 def build_custom(weights, require_connected: bool = False) -> MixingMatrix:
@@ -95,56 +100,28 @@ def build_custom(weights, require_connected: bool = False) -> MixingMatrix:
     With ``require_connected`` a non-contracting matrix (rho >= 1) is an
     error; otherwise it is accepted with a warning.
     """
-    w = np.array(weights, dtype=float)
-    _validate(w)
-    rho = spectral_gap(w)
-    if rho >= 1.0 - 1e-12:
+    w = MixingMatrix(weights)
+    if w.rho >= 1.0 - 1e-12:
         if require_connected:
             raise DisconnectedTopologyError(
-                f"rho = {rho:.6f} >= 1: matrix does not mix but topology was "
+                f"rho = {w.rho:.6f} >= 1: matrix does not mix but topology was "
                 "declared connected"
             )
         warnings.warn(
-            f"mixing matrix has rho = {rho:.6f} >= 1 (no contraction)",
+            f"mixing matrix has rho = {w.rho:.6f} >= 1 (no contraction)",
             stacklevel=2,
         )
-    return MixingMatrix(k=w.shape[0], weights=w, rho=rho)
+    return w
 
 
 def spectral_gap(weights) -> float:
-    """Squared second-largest eigenvalue magnitude of a gossip matrix.
+    """rho = max |eig(W - (1/K) 11^T)|^2 of a symmetric gossip matrix.
 
-    Computed by power iteration on the deflated matrix W - (1/K) 11^T,
-    which removes the eigenvalue 1 shared by all doubly-stochastic
-    matrices. No dense eigensolver is used here; tests cross-check against
-    one.
+    Deflating by (1/K) 11^T removes the eigenvalue 1 that every doubly
+    stochastic matrix shares; one symmetric eigensolve gives the rest.
     """
     w = np.asarray(weights, dtype=float)
-    k = w.shape[0]
-    m = w - 1.0 / k
-    # Deterministic start vector; any fixed seed works.
-    v = np.random.default_rng(0xD5B0).standard_normal(k)
-    norm = np.linalg.norm(v)
-    v /= norm
-    sigma_prev = -1.0
-    stable = 0
-    for it in range(_POWER_ITER_CAP):
-        mv = m @ v
-        sigma = float(np.linalg.norm(mv))
-        if sigma < 1e-15:
-            return 0.0
-        v = mv / sigma
-        if abs(sigma - sigma_prev) <= 1e-14 + 1e-13 * sigma:
-            stable += 1
-            if stable >= 3:
-                return min(sigma * sigma, 1.0) if sigma <= 1.0 else sigma * sigma
-        else:
-            stable = 0
-        sigma_prev = sigma
-    raise NumericsError(
-        f"power iteration did not converge in {_POWER_ITER_CAP} steps "
-        f"(last sigma = {sigma_prev:.12e}, k = {k})"
-    )
+    return float(np.abs(np.linalg.eigvalsh(w - 1.0 / w.shape[0])).max() ** 2)
 
 
 def gossip_mix(values: np.ndarray, w: MixingMatrix | np.ndarray) -> np.ndarray:

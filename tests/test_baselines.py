@@ -268,7 +268,7 @@ class TestDsgd:
         gossip_mse = float(np.sum((state.x.mean(axis=0) - x_star) ** 2))
         t_outer = 88  # 88*89/2 + 88 = 4004 draws per agent
         rec = ListRecorder()
-        dsgd_run(het, w, t_outer, cap, sgd_eta(), 0, rec)
+        dsgd_run(het, w, t_outer, cap.alpha, sgd_eta(), 0, rec)
         naive_mse = float(np.sum((rec.rows[-1][1].mean(axis=0) - x_star) ** 2))
         assert naive_mse > 20 * gossip_mse
 

@@ -141,6 +141,21 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, source):
+        cfg_path = write_config(tmp_path)
+        argv = ["run", "--config", cfg_path, "--out", str(tmp_path / "o")]
+        if source == "file":
+            with open(cfg_path, "w", encoding="utf-8") as fh:
+                json.dump(dict(base_config(), schedule={"regime": "constant", "c0": float("nan")}),
+                          fh)
+        else:
+            argv += ["--set", "schedule.regime=constant", "--set", "schedule.c0=1e999"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "schedule.c0" in err
+        assert not list(tmp_path.rglob("*.csv*"))  # neither a trace nor a partial one
+
     def test_missing_data_file_is_config_error(self, tmp_path, capsys):
         absent = str(tmp_path / "absent.libsvm")
         cfg_path = write_config(tmp_path, {"problem": {"family": "hyperopt",

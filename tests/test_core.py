@@ -33,11 +33,6 @@ NEUMANN_SCALAR_10 = 1.9990234375
 STATE_FIELDS = ("x", "y", "s", "h", "u", "v", "q")
 
 
-def eig_rho(weights: np.ndarray) -> float:
-    k = weights.shape[0]
-    return float(np.abs(np.linalg.eigvalsh(weights - 1.0 / k)).max() ** 2)
-
-
 class TestNeumannChain:
     def test_frozen_scalar_value(self):
         v = [np.array([[0.5]])] * 10
@@ -320,7 +315,7 @@ class TestDsboRound:
         # a random symmetric doubly-stochastic mix: a convex sum of (P + P^T) / 2
         perms = [np.eye(k)[rng.permutation(k)] for _ in range(3)]
         mat = sum(c * (pm + pm.T) / 2 for c, pm in zip(rng.dirichlet(np.ones(3)), perms))
-        w = MixingMatrix(k=k, weights=mat, rho=eig_rho(mat))
+        w = MixingMatrix(mat)
         sched = StepSchedule("diminishing", c1=50.0, mu=1.0)
         # desynchronize the agents so gossip actually mixes something
         state = init_agents(p, b)

@@ -108,6 +108,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match="expected a boolean"):
             RunConfig.from_dict({"problem": {"homogeneous": "maybe"}})
 
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_in_file_rejected(self, tmp_path, text):
+        path = tmp_path / "run.json"
+        path.write_text('{"schedule": {"c0": %s}}' % text)
+        with pytest.raises(ConfigError, match="schedule.c0: expected a finite number"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_override_rejected(self, raw):
+        with pytest.raises(ConfigError, match="schedule.c0: expected a finite number"):
+            quad_config().apply_overrides([f"schedule.c0={raw}"])
+
     def test_apply_overrides(self):
         cfg = quad_config()
         out = cfg.apply_overrides(["topology.k=8", "problem.homogeneous=true",

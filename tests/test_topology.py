@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from dsbo import (
     DisconnectedTopologyError,
+    MixingMatrix,
     NegativeEntryError,
     NotDoublyStochasticError,
     NotSymmetricError,
-    NumericsError,
     TopologyError,
     build_complete,
     build_custom,
@@ -28,6 +28,21 @@ RING_RHO = {3: 0.0, 5: 0.290892665416655, 8: 0.6476030138606875, 12: 0.829344623
 def eig_rho(weights: np.ndarray) -> float:
     k = weights.shape[0]
     return float(np.abs(np.linalg.eigvalsh(weights - 1.0 / k)).max() ** 2)
+
+
+def circulant_rho(first_row: np.ndarray) -> float:
+    """rho of a symmetric circulant W from its closed-form eigenvalues.
+
+    The eigenvalues of a circulant are the DFT of its first row; index 0
+    is the row sum 1, which W - (1/K) 11^T maps to 0.
+    """
+    return float(np.abs(np.fft.fft(first_row).real[1:]).max() ** 2)
+
+
+def circulant(first_row: np.ndarray) -> np.ndarray:
+    k = first_row.shape[0]
+    idx = np.arange(k)
+    return first_row[(idx[None, :] - idx[:, None]) % k]
 
 
 class TestBuildRing:
@@ -107,25 +122,61 @@ class TestBuildCustom:
 
 
 class TestSpectralGap:
-    @pytest.mark.parametrize("k", [3, 5, 8, 12])
+    # rtol 1e-12 against the closed form; the absolute floor covers rho
+    # near 0, where eigenvalue error is absolute (about K * 1e-16).
+    @pytest.mark.parametrize("k", [3, 5, 8, 12, 50, 200])
     def test_matches_eigendecomposition(self, k):
         w = build_ring(k)
-        assert spectral_gap(w.weights) == pytest.approx(eig_rho(w.weights), abs=1e-8)
+        expect = circulant_rho(w.weights[0])
+        assert spectral_gap(w.weights) == pytest.approx(expect, rel=1e-12, abs=1e-14)
+        assert w.rho == spectral_gap(w.weights)
+
+    @given(st.lists(st.integers(0, 100), min_size=1, max_size=32),
+           st.integers(1, 100), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_random_symmetric_circulants(self, half, self_weight, odd):
+        # first row c with c_j = c_{K-j}: self weight, then half, mirrored
+        row = np.array([self_weight, *half, *half[::-1][(0 if odd else 1):]], dtype=float)
+        row /= row.sum()
+        w = MixingMatrix(circulant(row))
+        assert w.k == row.shape[0]
+        assert w.rho == pytest.approx(circulant_rho(row), rel=1e-12, abs=1e-14)
 
     def test_complete_graph_exact_zero(self):
         assert spectral_gap(build_complete(6).weights) == 0.0
 
-    def test_nonconvergence_is_an_error(self):
-        # A matrix with two identical dominant deflated eigenvalues of
-        # opposite sign makes plain power iteration oscillate; the
-        # implementation must converge (via the symmetric square) or fail
-        # loudly, never return garbage silently.
+    def test_swap_does_not_contract(self):
+        # the swap's eigenvalues are +1 and -1, so deflation leaves -1
         mat = np.array([[0.0, 1.0], [1.0, 0.0]])
-        try:
-            rho = spectral_gap(mat)
-        except NumericsError:
-            return
-        assert rho == pytest.approx(1.0, abs=1e-8)
+        assert spectral_gap(mat) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestMixingMatrix:
+    def test_k_comes_from_weights(self):
+        w = MixingMatrix(np.full((4, 4), 0.25))
+        assert w.k == 4 and w.rho == 0.0
+
+    def test_only_weights_are_accepted(self):
+        with pytest.raises(TypeError):
+            MixingMatrix(np.eye(4), rho=0.5)
+        with pytest.raises(TypeError):
+            MixingMatrix(k=3, weights=np.eye(4))
+
+    @pytest.mark.parametrize("mat, error", [
+        (np.ones((2, 3)) / 3, TopologyError),
+        (np.array([[0.6, 0.4], [0.5, 0.5]]), NotSymmetricError),
+        (np.array([[1.2, -0.2], [-0.2, 1.2]]), NegativeEntryError),
+        (np.array([[0.5, 0.4], [0.4, 0.5]]), NotDoublyStochasticError),
+    ])
+    def test_validates_itself(self, mat, error):
+        with pytest.raises(error):
+            MixingMatrix(mat)
+
+    def test_copies_the_input(self):
+        mat = np.full((3, 3), 1.0 / 3.0)
+        w = MixingMatrix(mat)
+        mat[0, 0] = 5.0
+        assert w.weights[0, 0] == pytest.approx(1.0 / 3.0)
 
 
 class TestGossipMix:
