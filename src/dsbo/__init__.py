@@ -47,6 +47,7 @@ from .harness import (
     read_trace,
     run,
     samples_to_eps,
+    samples_to_eps_table,
     speedup_analysis,
     trace_to_csv,
     write_trace,

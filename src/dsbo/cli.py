@@ -33,6 +33,7 @@ from .harness import (
     build_topology,
     load_config,
     read_trace,
+    samples_to_eps_table,
     write_trace,
 )
 from .rng import stream
@@ -91,21 +92,34 @@ def _quantiles(values) -> dict:
     }
 
 
-def cmd_run(args) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, cfg)
+def _run_and_write(cfg: RunConfig, out: str) -> tuple[str, Trace]:
+    """Run cfg and write its trace into out; returns (path, trace).
+
+    On divergence the records collected so far go to ``<path>.partial``,
+    which stderr names, and the error propagates (``main`` exits 4).
+    """
     path = os.path.join(out, _trace_name(cfg))
     try:
         trace = harness.run(cfg)
     except DivergenceError as err:
-        partial = getattr(err, "trace", None)
-        if partial is not None and partial.records:
-            write_trace(partial, path + ".partial")
-            print(f"error: {err} (partial trace: {path}.partial)", file=sys.stderr)
-        else:
-            print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+        if err.trace is not None and err.trace.records:
+            write_trace(err.trace, path + ".partial")
+            print(f"partial trace: {path}.partial", file=sys.stderr)
+        raise
     write_trace(trace, path)
+    return path, trace
+
+
+def _write_json(args, path: str, obj):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    _say(args, f"wrote {path}")
+
+
+def cmd_run(args) -> int:
+    cfg = _load(args)
+    path, trace = _run_and_write(cfg, _out_dir(args, cfg))
     _say(args, f"wrote {path} ({len(trace.records)} records)")
     return EXIT_OK
 
@@ -113,17 +127,9 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load(args)
     out = _out_dir(args, cfg)
-    n_seeds = args.seeds
     paths, finals = [], {"mse": [], "subopt": [], "grad_norm_sq": []}
-    for seed in range(n_seeds):
-        run_cfg = dataclasses.replace(cfg, seed=seed)
-        try:
-            trace = harness.run(run_cfg)
-        except DivergenceError as err:
-            print(f"error: seed {seed}: {err}", file=sys.stderr)
-            return EXIT_DIVERGENCE
-        path = os.path.join(out, _trace_name(run_cfg))
-        write_trace(trace, path)
+    for seed in range(args.seeds):
+        path, trace = _run_and_write(dataclasses.replace(cfg, seed=seed), out)
         paths.append(path)
         last = trace.records[-1]
         for field in finals:
@@ -131,39 +137,16 @@ def cmd_sweep(args) -> int:
         _say(args, f"seed {seed}: wrote {path}")
     summary = {
         "config": cfg.to_dict(),
-        "seeds": list(range(n_seeds)),
+        "seeds": list(range(args.seeds)),
         "traces": paths,
         "final": {field: _quantiles(vals) for field, vals in finals.items()},
     }
-    summary_path = os.path.join(out, "sweep_summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _say(args, f"wrote {summary_path}")
+    _write_json(args, os.path.join(out, "sweep_summary.json"), summary)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # validate
-
-
-def _check_topology(cfg: RunConfig, report):
-    w = build_topology(cfg.topology)
-    mat = w.weights
-    report("doubly-stochastic", np.abs(mat.sum(axis=0) - 1).max() < 1e-12
-           and np.abs(mat.sum(axis=1) - 1).max() < 1e-12,
-           f"row/col sums within {max(np.abs(mat.sum(axis=0) - 1).max(), np.abs(mat.sum(axis=1) - 1).max()):.2e}")
-    report("symmetric", bool((mat == mat.T).all()), "weights equal their transpose")
-    report("contraction-factor", w.rho < 1.0, f"rho = {w.rho:.6g}")
-    return w
-
-
-def _check_problem(cfg: RunConfig, report):
-    problem = build_problem(cfg.problem, cfg.topology.k)
-    c = problem.constants
-    report("curvature-bounds", 0 < c.kappa_g <= c.mu_g / c.l_g + 1e-12,
-           f"kappa_g = {c.kappa_g:.6g} <= mu_g/l_g = {c.mu_g / c.l_g:.6g}")
-    return problem
 
 
 def _check_spectral_safety(problem, seed: int, report, n_draws: int = 1000):
@@ -224,12 +207,15 @@ def cmd_validate(args) -> int:
         if not ok:
             failures.append(name)
 
+    # MixingMatrix and ProblemConstants enforce symmetry, double
+    # stochasticity and the curvature bounds by raising here
     try:
-        _check_topology(cfg, report)
-        problem = _check_problem(cfg, report)
+        w = build_topology(cfg.topology)
+        problem = build_problem(cfg.problem, cfg.topology.k)
     except ConfigError as err:
         print(f"FAIL construction ({type(err).__name__}): {err}")
         return EXIT_CONFIG
+    report("contraction-factor", w.rho < 1.0, f"rho = {w.rho:.6g}")
     _check_spectral_safety(problem, cfg.seed, report)
     _smoke_unbiasedness(problem, cfg.seed, report)
     if failures:
@@ -327,77 +313,57 @@ def _hyperopt_base() -> RunConfig:
 
 
 def _replicate_runs(args, base: RunConfig, ks, out: str):
-    """Run base across network sizes and seeds; returns {k: [(seed, trace)]}."""
-    n_seeds = args.seeds
+    """Run base across network sizes and seeds; returns {k: [traces]}."""
+    if any(pair.partition("=")[0].strip() == "topology.k" for pair in args.set):
+        raise ConfigError(
+            "replicate sets topology.k itself; drop the --set topology.k override"
+        )
+    base = base.apply_overrides(args.set)
     results = {}
     for k in ks:
-        cfg_k = dataclasses.replace(base, topology=dataclasses.replace(base.topology, k=k))
-        if args.set:
-            cfg_k = cfg_k.apply_overrides(args.set)
-        for seed in range(n_seeds):
-            cfg = dataclasses.replace(cfg_k, seed=seed)
-            trace = harness.run(cfg)
-            write_trace(trace, os.path.join(out, _trace_name(cfg)))
-            results.setdefault(cfg.topology.k, []).append((seed, trace))
-            _say(args, f"k={cfg.topology.k} seed={seed}: final mse "
-                       f"{trace.records[-1].mse:.3e}")
+        for seed in range(args.seeds):
+            cfg = dataclasses.replace(
+                base, seed=seed, topology=dataclasses.replace(base.topology, k=k)
+            )
+            _, trace = _run_and_write(cfg, out)
+            results.setdefault(k, []).append(trace)
+            _say(args, f"k={k} seed={seed}: final mse {trace.records[-1].mse:.3e}")
     return results
 
 
 def cmd_replicate(args) -> int:
     name = args.experiment
+    if name not in EXPERIMENTS:
+        raise _Usage(f"unknown experiment {name!r} (valid: {', '.join(EXPERIMENTS)})")
     out = _out_dir(args, default=f"replicate_{name}")
     summary = {"experiment": name}
 
     if name == "policy-eval":
         results = _replicate_runs(args, _policy_eval_base(), (5, 10, 20), out)
         summary["slopes"] = {
-            str(k): _quantiles([harness.loglog_slope(tr, "mse") for _, tr in runs])
+            str(k): _quantiles([harness.loglog_slope(tr, "mse") for tr in runs])
             for k, runs in results.items()
         }
         summary["final_mse"] = {
-            str(k): _quantiles([tr.records[-1].mse for _, tr in runs])
+            str(k): _quantiles([tr.records[-1].mse for tr in runs])
             for k, runs in results.items()
         }
     elif name == "hyperopt":
-        results = _replicate_runs(args, _hyperopt_base(), (5,), out)
-        runs = results[next(iter(results))]
+        (runs,) = _replicate_runs(args, _hyperopt_base(), (5,), out).values()
         summary["final_val_loss"] = _quantiles(
-            [tr.records[-1].subopt + tr.header["reference"]["f_star"] for _, tr in runs]
+            [tr.records[-1].subopt + tr.header["reference"]["f_star"] for tr in runs]
         )
-        summary["final_subopt"] = _quantiles([tr.records[-1].subopt for _, tr in runs])
+        summary["final_subopt"] = _quantiles([tr.records[-1].subopt for tr in runs])
         summary["final_grad_norm_sq"] = _quantiles(
-            [tr.records[-1].grad_norm_sq for _, tr in runs]
+            [tr.records[-1].grad_norm_sq for tr in runs]
         )
-    elif name == "speedup":
+    else:  # speedup
         base = _policy_eval_base(n_states=50, homogeneous=True)
         results = _replicate_runs(args, base, (5, 10, 20), out)
-        table = {}
-        for eps in SPEEDUP_EPS:
-            rows = []
-            for k, runs in sorted(results.items()):
-                totals = []
-                censored = 0
-                for _, tr in runs:
-                    per_agent = harness.samples_to_eps(tr, eps)
-                    if per_agent is None:
-                        censored += 1
-                    else:
-                        totals.append(per_agent * k)
-                row = {"k": k, "censored": censored}
-                row.update(_quantiles(totals) if totals
-                           else {"q125": None, "q500": None, "q875": None})
-                rows.append(row)
-            table[repr(eps)] = rows
-        summary["samples_to_eps"] = table
-    else:
-        raise _Usage(f"unknown experiment {name!r} (valid: {', '.join(EXPERIMENTS)})")
-
-    path = os.path.join(out, "summary.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _say(args, f"wrote {path}")
+        summary["samples_to_eps"] = {
+            repr(eps): samples_to_eps_table(results, eps) for eps in SPEEDUP_EPS
+        }
+    _write_json(args, os.path.join(out, "summary.json"), summary)
     return EXIT_OK
 
 

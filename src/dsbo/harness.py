@@ -651,15 +651,45 @@ def samples_to_eps(trace, eps: float):
     return None
 
 
+def samples_to_eps_table(traces_by_k, eps: float) -> list[dict]:
+    """Samples-to-accuracy rows, one per network size, in mapping order.
+
+    ``traces_by_k`` maps each K to an iterable of its runs' traces (a lazy
+    one keeps a single trace alive at a time).  A run's total is its
+    per-agent draw count at the first recorded round with mse <= eps
+    (``samples_to_eps``) times K.  Each row holds ``k``, ``eps``,
+    ``n_runs``, ``censored`` (runs that never reach eps, counted rather
+    than imputed), the sorted ``totals`` of the others, and their
+    ``median``, ``q25`` and ``q75`` (None when every run is censored).
+    """
+    table = []
+    for k, traces in traces_by_k.items():
+        per_agent = [samples_to_eps(trace, eps) for trace in traces]
+        totals = sorted(n * k for n in per_agent if n is not None)
+        row = {
+            "k": k,
+            "eps": eps,
+            "n_runs": len(per_agent),
+            "censored": len(per_agent) - len(totals),
+            "totals": totals,
+        }
+        if totals:
+            row["median"] = float(np.median(totals))
+            row["q25"] = float(np.quantile(totals, 0.25))
+            row["q75"] = float(np.quantile(totals, 0.75))
+        else:
+            row["median"] = row["q25"] = row["q75"] = None
+        table.append(row)
+    return table
+
+
 def speedup_analysis(configs, eps: float, seeds) -> list[dict]:
     """Samples-to-accuracy table across network sizes.
 
     ``configs`` must be identical except for ``topology.k`` (schedule
-    constants may lawfully depend on K through the regime formulas).  For
-    each config and each master seed, finds the first recorded round with
-    mse <= eps and converts it to total inner draws across agents; reports
-    per-K medians and interquartile bands, with censored runs counted
-    rather than imputed.
+    constants may lawfully depend on K through the regime formulas).  Runs
+    each config once per master seed and returns ``samples_to_eps_table``
+    of the traces, one row per config in the given order.
     """
     if not configs:
         raise ConfigError("speedup_analysis needs at least one config")
@@ -675,29 +705,9 @@ def speedup_analysis(configs, eps: float, seeds) -> list[dict]:
     ks = [cfg.topology.k for cfg in configs]
     if len(set(ks)) != len(ks):
         raise ConfigError(f"duplicate network sizes in speedup_analysis: {ks}")
-
-    table = []
-    for cfg in configs:
-        totals, censored = [], 0
-        for seed in seeds:
-            trace = run(dataclasses.replace(cfg, seed=int(seed)))
-            per_agent = samples_to_eps(trace, eps)
-            if per_agent is None:
-                censored += 1
-            else:
-                totals.append(per_agent * cfg.topology.k)
-        row = {
-            "k": cfg.topology.k,
-            "eps": eps,
-            "n_runs": len(seeds),
-            "censored": censored,
-            "totals": sorted(totals),
-        }
-        if totals:
-            row["median"] = float(np.median(totals))
-            row["q25"] = float(np.quantile(totals, 0.25))
-            row["q75"] = float(np.quantile(totals, 0.75))
-        else:
-            row["median"] = row["q25"] = row["q75"] = None
-        table.append(row)
-    return table
+    # map() runs lazily, so the table consumes one trace at a time
+    runs = {
+        cfg.topology.k: map(run, [dataclasses.replace(cfg, seed=int(s)) for s in seeds])
+        for cfg in configs
+    }
+    return samples_to_eps_table(runs, eps)

@@ -56,19 +56,23 @@ class MixingMatrix:
 
 
 def _validate(w: np.ndarray) -> None:
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise TopologyError(f"mixing matrix must be square, got shape {w.shape}")
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
+        raise TopologyError(f"mixing matrix must be square and nonempty, got shape {w.shape}")
     if np.any(w < 0):
         i, j = np.argwhere(w < 0)[0]
         raise NegativeEntryError(f"negative weight {w[i, j]!r} at ({i}, {j})")
-    if not np.array_equal(w, w.T):
-        raise NotSymmetricError("mixing matrix is not symmetric")
+    _require_symmetric(w)
     row_err = np.abs(w.sum(axis=1) - 1.0).max()
     col_err = np.abs(w.sum(axis=0) - 1.0).max()
     if row_err > _SUM_TOL or col_err > _SUM_TOL:
         raise NotDoublyStochasticError(
             f"row/column sums deviate from 1 by {max(row_err, col_err):.3e}"
         )
+
+
+def _require_symmetric(w: np.ndarray) -> None:
+    if not np.array_equal(w, w.T):
+        raise NotSymmetricError("mixing matrix is not symmetric")
 
 
 def build_ring(k: int) -> MixingMatrix:
@@ -119,8 +123,11 @@ def spectral_gap(weights) -> float:
 
     Deflating by (1/K) 11^T removes the eigenvalue 1 that every doubly
     stochastic matrix shares; one symmetric eigensolve gives the rest.
+    A nonsymmetric input raises ``NotSymmetricError``: the eigensolve
+    reads only one triangle and would return a wrong rho.
     """
     w = np.asarray(weights, dtype=float)
+    _require_symmetric(w)
     return float(np.abs(np.linalg.eigvalsh(w - 1.0 / w.shape[0])).max() ** 2)
 
 

@@ -221,6 +221,20 @@ class TestSweep:
         for field in ("mse", "subopt", "grad_norm_sq"):
             assert field in summary["final"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_exits_4_and_keeps_partial_trace(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, {"schedule": {"regime": "constant", "c0": 1e200}})
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", cfg_path, "--seeds", "2", "--out", str(out)])
+        assert code == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert "non-finite value" in err
+        partial = out / "trace_dsbo_quadratic_k3_s0.csv.partial"
+        assert str(partial) in err
+        assert len(read_trace(str(partial)).records) >= 1
+        assert not (out / "sweep_summary.json").exists()
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_seed_count_below_one_is_usage_error(self, tmp_path, capsys, seeds):
         cfg_path = write_config(tmp_path)
@@ -239,10 +253,23 @@ class TestValidate:
         assert code == EXIT_OK
         assert "all checks passed" in out
         assert "FAIL" not in out
-        for check in ("doubly-stochastic", "symmetric", "contraction-factor",
-                      "curvature-bounds", "hessian-spectral-safety",
+        for check in ("contraction-factor", "hessian-spectral-safety",
                       "unbiased-gx_f", "unbiased-gy_g", "unbiased-hyy_g"):
             assert f"PASS {check}" in out
+
+    def test_rounded_custom_weights_pass(self, tmp_path, capsys):
+        # %.10f rounding leaves row sums 1e-10 off, inside the tolerance
+        # the mixing matrix accepts at construction
+        weights = tmp_path / "w.txt"
+        np.savetxt(weights, np.array([[4, 1, 1], [1, 4, 1], [1, 1, 4]]) / 6.0, fmt="%.10f")
+        cfg_path = write_config(
+            tmp_path,
+            {"topology": {"kind": "custom", "k": 3, "weights_path": str(weights)}},
+        )
+        code = main(["validate", "--config", cfg_path])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK, out
+        assert "PASS contraction-factor: rho = 0.25" in out
 
     def test_asymmetric_custom_weights_fail_construction(self, tmp_path, capsys):
         weights = tmp_path / "w.txt"
@@ -368,6 +395,29 @@ class TestReplicate:
         assert "must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_network_size_override_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        code = main(["replicate", "speedup", "--seeds", "1",
+                     "--set", "t_total=30", "--set", "topology.k=3", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "topology.k" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_exits_4_and_keeps_partial_trace(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        code = main(["replicate", "policy-eval", "--seeds", "1", "--set", "t_total=30",
+                     "--set", "schedule.regime=constant", "--set", "schedule.c0=1e200",
+                     "--out", str(out)])
+        assert code == EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert "non-finite value" in err
+        partial = out / "trace_dsbo_policy-eval_k5_s0.csv.partial"
+        assert str(partial) in err
+        assert len(read_trace(str(partial)).records) >= 1
+        assert not (out / "summary.json").exists()
+
     def test_policy_eval_desk_scale(self, tmp_path):
         out = tmp_path / "rep"
         code = main(["replicate", "policy-eval", "--seeds", "1",
@@ -412,4 +462,4 @@ class TestReplicate:
             for row in rows:
                 # 30 rounds cannot reach sub-1e-6 accuracy: all runs censored
                 assert row["censored"] == 1
-                assert row["q500"] is None
+                assert row["median"] is None

@@ -405,6 +405,36 @@ class TestRun:
             run(quad_config(algorithm="dsgd"))
 
 
+class TestHyperoptDataFile:
+    @staticmethod
+    def write_libsvm(path, n_rows=40, dim=4):
+        rng = np.random.default_rng(0)
+        lines = []
+        for row in rng.standard_normal((n_rows, dim)):
+            feats = " ".join(f"{j + 1}:{v:.6f}" for j, v in enumerate(row))
+            lines.append(f"{1 if row.sum() > 0 else -1} {feats}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def test_builds_shards_and_runs(self, tmp_path):
+        data = tmp_path / "data.libsvm"
+        self.write_libsvm(data)
+        cfg = ProblemConfig(family="hyperopt", data_path=str(data), seed=3)
+        problem = build_problem(cfg, k=4)
+        assert problem.k == 4 and problem.d_x == problem.d_y == 4
+        # 40 rows over 4 agents, each shard split half train, half validation
+        for shards in (problem._train, problem._val):
+            assert [w.shape for w, _ in shards] == [(5, 4)] * 4
+            assert [z.shape for _, z in shards] == [(5,)] * 4
+            assert all(set(np.unique(z)) <= {0.0, 1.0} for _, z in shards)
+        trace = run(RunConfig(
+            algorithm="dsbo", t_total=5, b=3, problem=cfg,
+            topology=TopologyConfig(kind="ring", k=4),
+            schedule=ScheduleConfig(regime="constant", c0=0.1),
+        ))
+        assert [r.t for r in trace.records] == list(range(6))
+        assert all(np.isfinite(r.subopt) for r in trace.records)
+
+
 class TestSpeedupAnalysis:
     @staticmethod
     def small_cfg(k):

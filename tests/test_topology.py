@@ -25,11 +25,6 @@ from dsbo import (
 RING_RHO = {3: 0.0, 5: 0.290892665416655, 8: 0.6476030138606875, 12: 0.8293446239041954}
 
 
-def eig_rho(weights: np.ndarray) -> float:
-    k = weights.shape[0]
-    return float(np.abs(np.linalg.eigvalsh(weights - 1.0 / k)).max() ** 2)
-
-
 def circulant_rho(first_row: np.ndarray) -> float:
     """rho of a symmetric circulant W from its closed-form eigenvalues.
 
@@ -59,7 +54,7 @@ class TestBuildRing:
     def test_rho_matches_eigendecomposition(self, k):
         w = build_ring(k)
         assert w.rho == pytest.approx(RING_RHO[k], abs=1e-10)
-        assert w.rho == pytest.approx(eig_rho(w.weights), abs=1e-10)
+        assert w.rho == pytest.approx(circulant_rho(w.weights[0]), rel=1e-12, abs=1e-14)
 
     def test_small_rings_rejected(self):
         with pytest.raises(TopologyError):
@@ -150,6 +145,13 @@ class TestSpectralGap:
         mat = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert spectral_gap(mat) == pytest.approx(1.0, rel=1e-12)
 
+    def test_nonsymmetric_input_rejected(self):
+        # doubly stochastic directed 3-cycle: its true rho is 0.25, but a
+        # one-triangle eigensolve would report 0.531
+        mat = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        with pytest.raises(NotSymmetricError):
+            spectral_gap(mat)
+
 
 class TestMixingMatrix:
     def test_k_comes_from_weights(self):
@@ -167,6 +169,7 @@ class TestMixingMatrix:
         (np.array([[0.6, 0.4], [0.5, 0.5]]), NotSymmetricError),
         (np.array([[1.2, -0.2], [-0.2, 1.2]]), NegativeEntryError),
         (np.array([[0.5, 0.4], [0.4, 0.5]]), NotDoublyStochasticError),
+        (np.zeros((0, 0)), TopologyError),
     ])
     def test_validates_itself(self, mat, error):
         with pytest.raises(error):
