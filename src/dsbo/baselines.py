@@ -27,22 +27,18 @@ from .core import (
     NetworkState,
     StepSchedule,
     check_finite,
-    combine_draws,
     init_agents,
     neumann_chain,
     round_step,
 )
 from .errors import DivergenceError, UnsupportedProblemError
+from .problems.base import StochasticSample, matvec
 from .rng import stream
 from .topology import MixingMatrix, gossip_mix
 
 # The coordinator's single copy mixes only with itself.
 _SELF_MIX = np.ones((1, 1))
 _SELF_MIX.setflags(write=False)
-
-
-def _agent_mean(arrays) -> np.ndarray:
-    return np.mean(arrays, axis=0)[None]
 
 
 def init_central(problem, b: int) -> NetworkState:
@@ -59,16 +55,24 @@ def fedsbo_round(
 ) -> NetworkState:
     """One coordinator round: sample at the common iterate, average, update.
 
-    The reduction over agents is a fixed-order numpy mean, so results are
-    reproducible, and with one agent the averaged draw is the agent's own.
+    The reduction over agents is a fixed-order numpy mean over a C-ordered
+    copy of each (K, ...) field, so results are reproducible (a broadcast
+    field would otherwise be reduced in another order), and with one agent
+    the averaged draw is the agent's own.
     """
-    b = central.v.shape[1]
-    samples = [
-        problem.sample(agent, central.x[0], central.y[0], rng_streams[agent], b)
-        for agent in range(problem.k)
-    ]
-    return round_step(central, _SELF_MIX, combine_draws(samples, _agent_mean), schedule, t,
-                      problem.constants.l_g)
+    k = problem.k
+    draws = problem.sample(
+        range(k),
+        np.broadcast_to(central.x, (k, problem.d_x)),
+        np.broadcast_to(central.y, (k, problem.d_y)),
+        rng_streams,
+        central.v.shape[1],
+    )
+    mean = StochasticSample(**{
+        name: np.mean(np.ascontiguousarray(field), axis=0)[None]
+        for name, field in vars(draws).items()
+    })
+    return round_step(central, _SELF_MIX, mean, schedule, t, problem.constants.l_g)
 
 
 def sgd_eta(c: float = 2.0):
@@ -106,6 +110,7 @@ def dbsa_run(
     gradient only.
     """
     n_agents = problem.k
+    agents = range(n_agents)
     consts = problem.constants
     xs = np.zeros((n_agents, consts.d_x))
     ys = np.zeros((n_agents, consts.d_y))
@@ -116,30 +121,20 @@ def dbsa_run(
         for t in range(t_total):
             for i in range(t):
                 eta = eta_schedule(i)
-                grads = np.stack(
-                    [
-                        problem.sample(
-                            agent, xs[agent], ys[agent],
-                            stream(master_seed, "dbsa-inner", agent, t, i), 1,
-                        ).gy_g
-                        for agent in range(n_agents)
-                    ]
-                )
+                rngs = [stream(master_seed, "dbsa-inner", agent, t, i) for agent in agents]
+                grads = problem.sample(agents, xs, ys, rngs, 1).gy_g
                 ys = gossip_mix(ys, w) - eta * grads
             xi += t
 
-            outer = [
-                problem.sample(
-                    agent, xs[agent], ys[agent],
-                    stream(master_seed, "dbsa-outer", agent, t), corr_depth,
-                )
-                for agent in range(n_agents)
-            ]
-            steps = np.stack([sm.gx_f for sm in outer])
+            rngs = [stream(master_seed, "dbsa-outer", agent, t) for agent in agents]
+            outer = problem.sample(agents, xs, ys, rngs, corr_depth)
+            steps = outer.gx_f
             if full_hypergrad:
-                for agent, sm in enumerate(outer):
-                    q = neumann_chain(sm.hyy_g_draws, consts.l_g)
-                    steps[agent] -= sm.hxy_g @ (q @ sm.gy_f)
+                steps = steps - np.stack([
+                    outer.hxy_g[agent]
+                    @ (neumann_chain(outer.hyy_g_draws[agent], consts.l_g) @ outer.gy_f[agent])
+                    for agent in agents
+                ])
             xs = gossip_mix(xs, w) - alpha_schedule(t) * steps
             zeta += 1
             check_finite((("x", xs), ("y", ys)), t)
@@ -175,6 +170,7 @@ def dsgd_run(
             f"{type(problem).__name__} is not one"
         )
     n_agents = problem.k
+    agents = range(n_agents)
     xs = np.zeros((n_agents, problem.constants.d_x))
     inner = np.zeros((n_agents, problem.comp_dim))
     zeta = xi = 0
@@ -185,22 +181,13 @@ def dsgd_run(
             inner = np.zeros((n_agents, problem.comp_dim))
             for i in range(t):
                 eta = eta_schedule(i)
-                fresh = np.stack(
-                    [
-                        problem.comp_value(
-                            agent, xs[agent], stream(master_seed, "dsgd-inner", agent, t, i)
-                        )
-                        for agent in range(n_agents)
-                    ]
-                )
+                rngs = [stream(master_seed, "dsgd-inner", agent, t, i) for agent in agents]
+                fresh = problem.comp_value(agents, xs, rngs)
                 inner = (1.0 - eta) * gossip_mix(inner, w) + eta * fresh
             xi += t
 
-            steps = np.empty_like(xs)
-            for agent in range(n_agents):
-                rng = stream(master_seed, "dsgd-outer", agent, t)
-                jac_t = problem.comp_jac(agent, xs[agent], rng)
-                steps[agent] = jac_t @ problem.comp_outer_grad(inner[agent], rng)
+            rngs = [stream(master_seed, "dsgd-outer", agent, t) for agent in agents]
+            steps = matvec(problem.comp_jac(agents, xs, rngs), problem.comp_outer_grad(inner))
             xs = gossip_mix(xs, w) - alpha_schedule(t) * steps
             zeta += 1
             xi += 1  # Jacobian draw

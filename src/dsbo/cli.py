@@ -124,7 +124,18 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _reject_overrides(args, keys):
+    """Refuse --set overrides of keys the command sets on every run itself."""
+    for pair in args.set:
+        key = pair.partition("=")[0].strip()
+        if key in keys:
+            raise ConfigError(
+                f"{args.command} sets {key} itself; drop the --set {key} override"
+            )
+
+
 def cmd_sweep(args) -> int:
+    _reject_overrides(args, ("seed",))
     cfg = _load(args)
     out = _out_dir(args, cfg)
     paths, finals = [], {"mse": [], "subopt": [], "grad_norm_sq": []}
@@ -151,14 +162,12 @@ def cmd_sweep(args) -> int:
 
 def _check_spectral_safety(problem, seed: int, report, n_draws: int = 1000):
     c = problem.constants
-    worst = 0.0
-    x = np.zeros(problem.d_x)
-    y = np.zeros(problem.d_y)
-    for i in range(n_draws):
-        agent = i % problem.k
-        sm = problem.sample(agent, x, y, stream(seed, "validate-spectral", agent, i), 1)
-        evals = np.linalg.eigvalsh(sm.hyy_g_draws[0])
-        worst = max(worst, float(np.abs(1.0 - evals / c.l_g).max()))
+    agents = [i % problem.k for i in range(n_draws)]
+    rngs = [stream(seed, "validate-spectral", agent, i) for i, agent in enumerate(agents)]
+    draws = problem.sample(agents, np.zeros((n_draws, problem.d_x)),
+                           np.zeros((n_draws, problem.d_y)), rngs, 1)
+    evals = np.linalg.eigvalsh(draws.hyy_g_draws[:, 0])
+    worst = float(np.abs(1.0 - evals / c.l_g).max())
     report("hessian-spectral-safety", worst <= 1.0 - c.kappa_g + 1e-10,
            f"max ||I - H/l_g|| over {n_draws} draws = {worst:.6g} "
            f"(bound {1.0 - c.kappa_g:.6g})")
@@ -171,26 +180,21 @@ def _smoke_unbiasedness(problem, seed: int, report, n_draws: int = 1000, n_se: f
     x = 0.5 * rng.standard_normal(problem.d_x)
     y = 0.5 * rng.standard_normal(problem.d_y)
     exact = problem.exact_gradients(x, y)
-    targets = {
-        "gx_f": exact.gx_f, "gy_f": exact.gy_f, "gy_g": exact.gy_g,
-        "hxy_g": exact.hxy_g, "hyy_g": exact.hyy_g,
-    }
-    sums = {name: np.zeros_like(val, dtype=float) for name, val in targets.items()}
-    sumsq = {name: np.zeros_like(val, dtype=float) for name, val in targets.items()}
     per_agent = n_draws // problem.k
     total = per_agent * problem.k
-    for agent in range(problem.k):
-        for i in range(per_agent):
-            sm = problem.sample(agent, x, y, stream(seed, "validate-smoke", agent, i), 1)
-            for name, draw in (
-                ("gx_f", sm.gx_f), ("gy_f", sm.gy_f), ("gy_g", sm.gy_g),
-                ("hxy_g", sm.hxy_g), ("hyy_g", sm.hyy_g_draws[0]),
-            ):
-                sums[name] += draw
-                sumsq[name] += draw * draw
-    for name, target in targets.items():
-        mean = sums[name] / total
-        var = np.maximum(sumsq[name] / total - mean**2, 0.0)
+    agents = np.repeat(np.arange(problem.k), per_agent)
+    rngs = [stream(seed, "validate-smoke", agent, i)
+            for agent in range(problem.k) for i in range(per_agent)]
+    draws = problem.sample(agents, np.broadcast_to(x, (total, problem.d_x)),
+                           np.broadcast_to(y, (total, problem.d_y)), rngs, 1)
+    for name, target, field in (
+        ("gx_f", exact.gx_f, draws.gx_f), ("gy_f", exact.gy_f, draws.gy_f),
+        ("gy_g", exact.gy_g, draws.gy_g), ("hxy_g", exact.hxy_g, draws.hxy_g),
+        ("hyy_g", exact.hyy_g, draws.hyy_g_draws[:, 0]),
+    ):
+        mean = field.sum(axis=0) / total
+        # einsum sums the squares without materializing a (total, ...) copy
+        var = np.maximum(np.einsum("r...,r...->...", field, field) / total - mean**2, 0.0)
         se_norm = float(np.sqrt(var.sum() / total))
         gap = float(np.sqrt(((mean - target) ** 2).sum()))
         report(f"unbiased-{name}", gap <= n_se * se_norm + 1e-12,
@@ -314,10 +318,7 @@ def _hyperopt_base() -> RunConfig:
 
 def _replicate_runs(args, base: RunConfig, ks, out: str):
     """Run base across network sizes and seeds; returns {k: [traces]}."""
-    if any(pair.partition("=")[0].strip() == "topology.k" for pair in args.set):
-        raise ConfigError(
-            "replicate sets topology.k itself; drop the --set topology.k override"
-        )
+    _reject_overrides(args, ("topology.k", "seed"))
     base = base.apply_overrides(args.set)
     results = {}
     for k in ks:

@@ -30,11 +30,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .problems.base import StochasticSample
+from .problems.base import StochasticSample, matvec
 from .topology import MixingMatrix, gossip_mix
 
 _FIELDS = ("x", "y", "s", "h", "u", "v", "q")
-_DRAW_FIELDS = ("gx_f", "gy_f", "gy_g", "hxy_g", "hyy_g_draws")
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def neumann_apply(v, h, l_g: float) -> np.ndarray:
 
 def hypergrad_estimate(s, u, q) -> np.ndarray:
     """Batched z_k = s_k - u_k q_k over the leading agent axis."""
-    return s - (u @ q[:, :, None])[:, :, 0]
+    return s - matvec(u, q)
 
 
 def init_agents(problem, b: int, k: int | None = None) -> NetworkState:
@@ -218,13 +217,6 @@ def check_finite(arrays_by_field, t: int):
             per_agent = np.isfinite(stack).reshape(stack.shape[0], -1).all(axis=1)
             agent = int(np.argmin(per_agent))
             raise DivergenceError(agent=agent, field=name, t=t)
-
-
-def combine_draws(samples, reduce) -> StochasticSample:
-    """One StochasticSample whose fields are ``reduce`` of the per-agent fields."""
-    return StochasticSample(
-        **{name: reduce([getattr(sm, name) for sm in samples]) for name in _DRAW_FIELDS}
-    )
 
 
 def round_step(state: NetworkState, mix, draws: StochasticSample, schedule: StepSchedule,
@@ -255,11 +247,8 @@ def dsbo_round(
     t: int,
     rng_streams,
 ) -> NetworkState:
-    """One gossip round: each agent draws at its own row, then ``round_step``."""
-    b = state.v.shape[1]
-    samples = [
-        problem.sample(agent, state.x[agent], state.y[agent], rng_streams[agent], b)
-        for agent in range(state.x.shape[0])
-    ]
-    return round_step(state, w.weights, combine_draws(samples, np.stack), schedule, t,
-                      problem.constants.l_g)
+    """One gossip round: one oracle call draws every agent's row at its own
+    iterate, then ``round_step``."""
+    draws = problem.sample(range(state.x.shape[0]), state.x, state.y, rng_streams,
+                           state.v.shape[1])
+    return round_step(state, w.weights, draws, schedule, t, problem.constants.l_g)

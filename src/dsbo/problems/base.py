@@ -58,10 +58,12 @@ class ProblemConstants:
 
 @dataclass(frozen=True)
 class StochasticSample:
-    """One oracle draw: outer gradients, inner gradient, two inner Hessians.
+    """Oracle draws stacked over rows: outer gradients, inner gradient,
+    two inner Hessians.
 
-    ``hyy_g_draws`` stacks b independent inner-Hessian draws, each
-    symmetric and inside the declared spectral ball.
+    Row r of every field belongs to one draw.  ``hyy_g_draws[r]`` stacks
+    b independent inner-Hessian draws, each symmetric and inside the
+    declared spectral ball.
     """
 
     gx_f: np.ndarray
@@ -109,10 +111,17 @@ class BilevelProblem(abc.ABC):
         return self.constants.d_y
 
     @abc.abstractmethod
-    def sample(
-        self, agent: int, x: np.ndarray, y: np.ndarray, rng: np.random.Generator, b: int = 1
-    ) -> StochasticSample:
-        """Draw one stochastic sample for the given agent at (x, y)."""
+    def sample(self, agents, xs: np.ndarray, ys: np.ndarray, rngs, b: int = 1
+               ) -> StochasticSample:
+        """Draw one stochastic sample per row, stacked over R rows.
+
+        Row r is agent ``agents[r]``'s draw at ``(xs[r], ys[r])``, made
+        from ``rngs[r]`` alone; every field of the result has a leading
+        axis of length R (``hyy_g_draws`` is (R, b, d_y, d_y)).  Rows
+        consume their generators in row order, each making all of its
+        calls before the next row starts, so passing one generator for
+        every row reproduces R consecutive one-row calls.
+        """
 
     @abc.abstractmethod
     def exact_lower(self, x: np.ndarray) -> np.ndarray:
@@ -137,6 +146,16 @@ class BilevelProblem(abc.ABC):
     def optimum(self) -> tuple[np.ndarray, float] | None:
         """(x*, F*) when known in closed form, else None."""
         return None
+
+
+def matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``mats @ v`` for each vector v along the last axis of ``vecs``.
+
+    Written as a broadcast matmul against a trailing unit axis: numpy runs
+    one gemv per row, so each row is bit-identical to the one-row product
+    (``vecs @ mats.T`` and einsum are not).
+    """
+    return (mats @ vecs[..., None])[..., 0]
 
 
 def bounded_noise(rng: np.random.Generator, sigma: float, shape) -> np.ndarray:

@@ -24,6 +24,7 @@ from .base import (
     ProblemConstants,
     StochasticSample,
     clip_spectrum,
+    matvec,
 )
 
 
@@ -51,15 +52,15 @@ def _pool(parts):
 
     Returns the pooled features and labels, the per-row weight 1/(K n_k)
     that turns a weighted sum over the pool into the agent average of
-    per-shard means, and each agent's shard as a view into the pool.
+    per-shard means, and each agent's shard as a (start, size) pair of
+    (K,) arrays: agent k owns pooled rows start[k] .. start[k] + size[k] - 1.
     """
     sizes = np.array([z.shape[0] for _, z in parts])
     w = np.concatenate([w for w, _ in parts])
     z = np.concatenate([z for _, z in parts])
     weight = np.repeat(1.0 / (len(parts) * sizes), sizes)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    shards = [(w[lo:hi], z[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    return w, z, weight, shards
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return w, z, weight, starts, sizes
 
 
 class HyperoptBilevel(BilevelProblem):
@@ -85,10 +86,11 @@ class HyperoptBilevel(BilevelProblem):
         dim = dims.pop()
         self.lam_min = float(lam_min)
         self.minibatch = int(minibatch)
-        self._train_w, self._train_z, self._train_wt, self._train = _pool(train)
-        self._val_w, self._val_z, self._val_wt, self._val = _pool(val)
-        self._train_sqnorms = [np.einsum("ij,ij->i", w, w) for w, _ in self._train]
-        max_sq = max(float(s.max()) for s in self._train_sqnorms)
+        self._train_w, self._train_z, self._train_wt, self._train_start, self._train_size = (
+            _pool(train))
+        self._val_w, self._val_z, self._val_wt, self._val_start, self._val_size = _pool(val)
+        self._train_sq = np.einsum("ij,ij->i", self._train_w, self._train_w)
+        max_sq = float(self._train_sq.max())
 
         # l_g covers the data curvature plus regularizer weights up to
         # softplus(x_i) ~ 2; larger weights are projected back into the
@@ -109,34 +111,49 @@ class HyperoptBilevel(BilevelProblem):
     def _reg_weights(self, x):
         return softplus(x) + self.lam_min
 
-    def sample(self, agent, x, y, rng, b=1):
-        w_tr, z_tr = self._train[agent]
-        w_val, z_val = self._val[agent]
-        reg = self._reg_weights(x)
-        mb = self.minibatch
+    def sample(self, agents, xs, ys, rngs, b=1):
+        agents = np.asarray(agents)
+        rows, mb, dim = len(agents), self.minibatch, self.d_y
+        reg = self._reg_weights(xs)
 
-        val_idx = rng.integers(0, w_val.shape[0], size=mb)
-        wv, zv = w_val[val_idx], z_val[val_idx]
-        gy_f = ((sigmoid(wv @ y) - zv)[:, None] * wv).mean(axis=0)
-        gx_f = np.zeros(self.d_x)
+        # Row r draws shard-local indices from rngs[r] alone (validation
+        # minibatch, training minibatch, then b Hessian minibatches) and
+        # offsets them into the pooled arrays.
+        val_idx = np.empty((rows, mb), dtype=np.int64)
+        tr_idx = np.empty((rows, mb), dtype=np.int64)
+        h_idx = np.empty((rows, b, mb), dtype=np.int64)
+        val_size, tr_size = self._val_size[agents], self._train_size[agents]
+        for r, rng in enumerate(rngs):
+            val_idx[r] = rng.integers(0, val_size[r], size=mb)
+            tr_idx[r] = rng.integers(0, tr_size[r], size=mb)
+            h_idx[r] = rng.integers(0, tr_size[r], size=(b, mb))
+        val_idx += self._val_start[agents][:, None]
+        tr_start = self._train_start[agents]
+        tr_idx += tr_start[:, None]
+        h_idx += tr_start[:, None, None]
 
-        tr_idx = rng.integers(0, w_tr.shape[0], size=mb)
-        wt, zt = w_tr[tr_idx], z_tr[tr_idx]
-        gy_g = ((sigmoid(wt @ y) - zt)[:, None] * wt).mean(axis=0) + reg * y
+        wv, zv = self._val_w[val_idx], self._val_z[val_idx]
+        gy_f = ((sigmoid(matvec(wv, ys)) - zv)[:, :, None] * wv).mean(axis=1)
+        gx_f = np.zeros((rows, self.d_x))
 
-        hxy = np.diag(sigmoid(x) * y)
+        wt, zt = self._train_w[tr_idx], self._train_z[tr_idx]
+        gy_g = ((sigmoid(matvec(wt, ys)) - zt)[:, :, None] * wt).mean(axis=1) + reg * ys
 
-        h_idx = rng.integers(0, w_tr.shape[0], size=(b, mb))
-        wh = w_tr[h_idx]  # (b, mb, dim)
-        curv = sigmoid(wh @ y)
+        diag = np.arange(dim)
+        hxy = np.zeros((rows, dim, dim))
+        hxy[:, diag, diag] = sigmoid(xs) * ys
+
+        wh = self._train_w[h_idx]  # (rows, b, mb, dim)
+        curv = sigmoid(matvec(wh, ys[:, None]))
         curv = curv * (1.0 - curv)
-        hyy = np.einsum("bm,bmi,bmj->bij", curv, wh, wh) / mb
-        hyy[:, np.arange(self.d_y), np.arange(self.d_y)] += reg
-        # Cheap spectral bound: data term <= max ||w||^2/4 plus the largest
-        # regularizer weight; only clip when it can exceed the ball.
-        top_bound = 0.25 * self._train_sqnorms[agent][h_idx].max() + reg.max()
-        if top_bound > self._spec_hi:
-            hyy = clip_spectrum(hyy, self._spec_lo, self._spec_hi)
+        hyy = np.einsum("rbm,rbmi,rbmj->rbij", curv, wh, wh) / mb
+        hyy[:, :, diag, diag] += reg[:, None]
+        # Cheap spectral bound per row: data term <= max ||w||^2/4 plus the
+        # largest regularizer weight; only rows that can exceed the ball clip.
+        top_bound = 0.25 * self._train_sq[h_idx].max(axis=(1, 2)) + reg.max(axis=1)
+        clip = top_bound > self._spec_hi
+        if np.any(clip):
+            hyy[clip] = clip_spectrum(hyy[clip], self._spec_lo, self._spec_hi)
         return StochasticSample(gx_f=gx_f, gy_f=gy_f, gy_g=gy_g, hxy_g=hxy, hyy_g_draws=hyy)
 
     # Full-data quantities: one weighted sum over the pooled rows gives the

@@ -24,7 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigError
-from .base import BilevelProblem, ExactGradients, ProblemConstants, StochasticSample
+from .base import (
+    BilevelProblem,
+    ExactGradients,
+    ProblemConstants,
+    StochasticSample,
+    matvec,
+)
 
 
 class PolicyEvalBilevel(BilevelProblem):
@@ -70,6 +76,7 @@ class PolicyEvalBilevel(BilevelProblem):
         self._hxy_exact = -self.gamma * self._p_phi.T  # (feat_dim, n_states)
         self._eye = np.eye(n_states)
         self._eye.setflags(write=False)
+        self._states = np.arange(n_states)
 
         self.constants = ProblemConstants(
             d_x=feat_dim,
@@ -86,34 +93,49 @@ class PolicyEvalBilevel(BilevelProblem):
         self._f_star = self.objective(self._x_star)
 
     # The two outer gradients carry no sampling noise in this family; all
-    # randomness lives in the transition draw and the reward draw.
+    # randomness lives in the transition draw and the reward draw.  Both
+    # helpers take one row or a (R, ...) stack of rows.
     def _outer_grads(self, x, y):
-        resid = self._phi @ x - y
-        gx_f = self._phi.T @ resid / self.d_y + self.lam * x
+        resid = matvec(self._phi, x) - y
+        gx_f = matvec(self._phi.T, resid) / self.d_y + self.lam * x
         gy_f = -resid / self.d_y
         return gx_f, gy_f
 
-    def _draw_targets(self, agent, x, rng):
-        """Sampled next states and Bellman targets for every state."""
+    def _next_states(self, rngs, reward_noise: bool):
+        """Per row, one sampled next state for every state, and (when
+        ``reward_noise``) the rows' standard normal reward noise."""
         n = self.d_y
-        nxt = (rng.random(n)[:, None] < self._cum_p).argmax(axis=1)
-        rewards = self._rbar[agent][np.arange(n), nxt]
-        if self.sigma_r > 0:
-            rewards = rewards + self.sigma_r * rng.standard_normal(n)
-        delta_hat = rewards + self.gamma * (self._phi[nxt] @ x)
-        return nxt, delta_hat
+        u = np.empty((len(rngs), n))
+        noise = np.empty((len(rngs), n)) if reward_noise else None
+        for r, rng in enumerate(rngs):
+            rng.random(n, out=u[r])
+            if reward_noise:
+                rng.standard_normal(n, out=noise[r])
+        return (u[:, :, None] < self._cum_p).argmax(axis=2), noise
 
-    def sample(self, agent, x, y, rng, b=1):
-        gx_f, gy_f = self._outer_grads(x, y)
+    def _targets(self, agents, xs, rngs):
+        """Bellman targets, one row per agent, and the sampled next states
+        they used (None for the exact oracle, which draws nothing)."""
         if self.exact_oracle:
-            delta = self._c_k[agent] + self.gamma * (self._p_phi @ x)
-            gy_g = y - delta
-            hxy = self._hxy_exact
+            return None, self._c_k[agents] + self.gamma * matvec(self._p_phi, xs)
+        noisy = self.sigma_r > 0
+        nxt, noise = self._next_states(rngs, noisy)
+        rewards = self._rbar[agents[:, None], self._states, nxt]
+        if noisy:
+            rewards = rewards + self.sigma_r * noise
+        return nxt, rewards + self.gamma * matvec(self._phi[nxt], xs)
+
+    def sample(self, agents, xs, ys, rngs, b=1):
+        agents = np.asarray(agents)
+        rows = len(agents)
+        gx_f, gy_f = self._outer_grads(xs, ys)
+        nxt, delta = self._targets(agents, xs, rngs)
+        gy_g = ys - delta
+        if nxt is None:
+            hxy = np.broadcast_to(self._hxy_exact, (rows, self.d_x, self.d_y))
         else:
-            nxt, delta_hat = self._draw_targets(agent, x, rng)
-            gy_g = y - delta_hat
-            hxy = -self.gamma * self._phi[nxt].T
-        hyy = np.broadcast_to(self._eye, (b, self.d_y, self.d_y))
+            hxy = -self.gamma * self._phi[nxt].transpose(0, 2, 1)
+        hyy = np.broadcast_to(self._eye, (rows, b, self.d_y, self.d_y))
         return StochasticSample(gx_f=gx_f, gy_f=gy_f, gy_g=gy_g, hxy_g=hxy, hyy_g_draws=hyy)
 
     def exact_lower(self, x):
@@ -143,29 +165,30 @@ class PolicyEvalBilevel(BilevelProblem):
     def comp_dim(self) -> int:
         return self.d_y + self.d_x
 
-    def comp_value(self, agent, x, rng):
-        if self.exact_oracle:
-            delta = self._c_k[agent] + self.gamma * (self._p_phi @ x)
-        else:
-            _, delta = self._draw_targets(agent, x, rng)
-        return np.concatenate([delta, x])
+    def comp_value(self, agents, xs, rngs):
+        """Draws of h_k(x; xi), one (comp_dim,) row per agent."""
+        _, delta = self._targets(np.asarray(agents), xs, rngs)
+        return np.concatenate([delta, xs], axis=1)
 
-    def comp_jac(self, agent, x, rng):
-        """Transposed Jacobian draw of h_k, shape (d_x, comp_dim)."""
+    def comp_jac(self, agents, xs, rngs):
+        """Transposed Jacobian draws of h_k, shape (R, d_x, comp_dim)."""
+        # Filled in place: a C-ordered result keeps each row's product with
+        # a vector the same gemv as a one-row call.
+        jac = np.empty((len(agents), self.d_x, self.comp_dim))
         if self.exact_oracle:
-            top = self.gamma * self._p_phi.T
+            jac[:, :, : self.d_y] = self.gamma * self._p_phi.T
         else:
-            nxt = (rng.random(self.d_y)[:, None] < self._cum_p).argmax(axis=1)
-            top = self.gamma * self._phi[nxt].T
-        return np.concatenate([top, np.eye(self.d_x)], axis=1)
+            nxt, _ = self._next_states(rngs, reward_noise=False)
+            jac[:, :, : self.d_y] = self.gamma * self._phi[nxt].transpose(0, 2, 1)
+        jac[:, :, self.d_y :] = np.eye(self.d_x)
+        return jac
 
-    def comp_outer_grad(self, y_stacked, rng):
-        y_delta = y_stacked[: self.d_y]
-        y_x = y_stacked[self.d_y :]
-        resid = self._phi @ y_x - y_delta
-        return np.concatenate(
-            [-resid / self.d_y, self._phi.T @ resid / self.d_y + self.lam * y_x]
-        )
+    def comp_outer_grad(self, ys_stacked):
+        """Gradient of the outer objective in h-coordinates, one row each."""
+        y_delta = ys_stacked[:, : self.d_y]
+        y_x = ys_stacked[:, self.d_y :]
+        gx_f, gy_f = self._outer_grads(y_x, y_delta)
+        return np.concatenate([gy_f, gx_f], axis=1)
 
 
 def make_policy_eval(

@@ -21,6 +21,7 @@ from .base import (
     StochasticSample,
     bounded_noise,
     clip_spectrum,
+    matvec,
 )
 
 
@@ -89,28 +90,45 @@ class QuadraticBilevel(BilevelProblem):
         self._spec_hi = self.constants.l_g * (2.0 - self.constants.kappa_g)
         self._fro_budget = min(mu_g - self._spec_lo, self._spec_hi - l_g)
 
-    def sample(self, agent, x, y, rng, b=1):
+    def sample(self, agents, xs, ys, rngs, b=1):
+        agents = np.asarray(agents)
+        rows = len(agents)
+        d_x, d_y = self.d_x, self.d_y
         sf, sg = self.constants.sigma_f, self.constants.sigma_g
-        gx_f = x - self._a[agent]
-        gy_f = np.array(y, dtype=float, copy=True)
-        gy_g = self._b @ y - self._c.T @ x + self._d[agent]
-        hxy = -self._c
+        gx_f = xs - self._a[agents]
+        gy_f = np.array(ys, dtype=float)
+        gy_g = matvec(self._b, ys) - matvec(self._c.T, xs) + self._d[agents]
+        hxy = np.broadcast_to(-self._c, (rows, d_x, d_y))
+        hyy = np.broadcast_to(self._b, (rows, b, d_y, d_y))
+        if sf == 0 and sg == 0:
+            return StochasticSample(gx_f=gx_f, gy_f=gy_f, gy_g=gy_g, hxy_g=hxy, hyy_g_draws=hyy)
+
+        # Row r draws from rngs[r] alone, in the order gx_f, gy_f noise
+        # (sigma_f > 0), then gy_g, hxy_g and hyy_g noise (sigma_g > 0).
+        nx, ny = np.empty((rows, d_x)), np.empty((rows, d_y))
+        ng, nh = np.empty((rows, d_y)), np.empty((rows, d_x, d_y))
+        gauss = np.empty((rows, b, d_y, d_y))
+        for r, rng in enumerate(rngs):
+            if sf > 0:
+                nx[r] = bounded_noise(rng, sf, d_x)
+                ny[r] = bounded_noise(rng, sf, d_y)
+            if sg > 0:
+                ng[r] = bounded_noise(rng, sg, d_y)
+                nh[r] = bounded_noise(rng, sg, (d_x, d_y))
+                rng.standard_normal((b, d_y, d_y), out=gauss[r])
         if sf > 0:
-            gx_f = gx_f + bounded_noise(rng, sf, gx_f.shape)
-            gy_f = gy_f + bounded_noise(rng, sf, gy_f.shape)
+            gx_f = gx_f + nx
+            gy_f = gy_f + ny
         if sg > 0:
-            gy_g = gy_g + bounded_noise(rng, sg, gy_g.shape)
-            hxy = hxy + bounded_noise(rng, sg, hxy.shape)
-            gauss = rng.standard_normal((b, self.d_y, self.d_y))
-            scale = sg / (2.0 * np.sqrt(self.d_y))
-            noise = scale * (gauss + gauss.transpose(0, 2, 1)) / np.sqrt(2.0)
-            hyy = self._b + noise
-            fro = np.sqrt((noise * noise).sum(axis=(1, 2)))
+            gy_g = gy_g + ng
+            hxy = -self._c + nh
+            scale = sg / (2.0 * np.sqrt(d_y))
+            sym = scale * (gauss + gauss.transpose(0, 1, 3, 2)) / np.sqrt(2.0)
+            hyy = self._b + sym
+            fro = np.sqrt((sym * sym).sum(axis=(2, 3)))
             unsafe = fro > self._fro_budget
             if np.any(unsafe):
                 hyy[unsafe] = clip_spectrum(hyy[unsafe], self._spec_lo, self._spec_hi)
-        else:
-            hyy = np.broadcast_to(self._b, (b, self.d_y, self.d_y))
         return StochasticSample(gx_f=gx_f, gy_f=gy_f, gy_g=gy_g, hxy_g=hxy, hyy_g_draws=hyy)
 
     def exact_lower(self, x):

@@ -14,23 +14,46 @@ import zlib
 
 import numpy as np
 
-# Purpose tags are hashed to ints so SeedSequence can absorb them.
-# crc32 is stable across platforms and Python versions.
+_MASK32 = 0xFFFFFFFF
+# SeedSequence zero-pads the run entropy to its pool size before appending
+# a spawn key; ``stream`` assembles the same array itself.
+_POOL_WORDS = 4
 
 
 def _purpose_id(purpose: str) -> int:
+    # crc32 is stable across platforms and Python versions.
     return zlib.crc32(purpose.encode("utf-8"))
+
+
+def _words(n: int) -> list[int]:
+    """Little-endian uint32 words of a nonnegative int (0 -> [0])."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
 
 
 def stream(master_seed: int, purpose: str, *key: int) -> np.random.Generator:
     """Return a fresh generator for the given (purpose, key) slot.
 
     Calling twice with identical arguments yields identical generators.
+    The bits are those of ``np.random.default_rng(SeedSequence(
+    entropy=master_seed, spawn_key=(crc32(purpose), *key)))``: the entropy
+    array that SeedSequence would assemble from those arguments is built
+    here directly, which skips its per-call argument coercion.
     """
-    ss = np.random.SeedSequence(
-        entropy=int(master_seed), spawn_key=(_purpose_id(purpose), *map(int, key))
-    )
-    return np.random.default_rng(ss)
+    entropy = _words(master_seed)
+    entropy += [0] * (_POOL_WORDS - len(entropy))
+    entropy += _words(_purpose_id(purpose))
+    for k in key:
+        entropy += _words(k)
+    seq = np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def agent_round_streams(

@@ -332,12 +332,16 @@ def test_criterion_10_oracle_unbiasedness():
             per_agent = n_draws // problem.k
             total = per_agent * problem.k
             for agent in range(problem.k):
-                draws = stream(17, "accept-unbiased", agent)
-                for _ in range(per_agent):
-                    sm = problem.sample(agent, x, y, draws, 1)
-                    for q, d in (("gx_f", sm.gx_f), ("gy_f", sm.gy_f),
-                                 ("gy_g", sm.gy_g), ("hxy_g", sm.hxy_g),
-                                 ("hyy_g", sm.hyy_g_draws[0])):
+                # every row shares the agent's one stream; rows consume it
+                # in row order, as consecutive one-row calls would
+                draws = [stream(17, "accept-unbiased", agent)] * per_agent
+                sm = problem.sample([agent] * per_agent,
+                                    np.broadcast_to(x, (per_agent, problem.d_x)),
+                                    np.broadcast_to(y, (per_agent, problem.d_y)), draws, 1)
+                for q, rows in (("gx_f", sm.gx_f), ("gy_f", sm.gy_f),
+                                ("gy_g", sm.gy_g), ("hxy_g", sm.hxy_g),
+                                ("hyy_g", sm.hyy_g_draws[:, 0])):
+                    for d in rows:
                         sums[q] += d
                         sumsq[q] += d * d
             for q, target in targets.items():

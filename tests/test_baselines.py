@@ -50,9 +50,9 @@ class SpyProblem:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def sample(self, agent, x, y, rng, b=1):
-        self.calls.append((agent, np.array(x, copy=True)))
-        return self._inner.sample(agent, x, y, rng, b)
+    def sample(self, agents, xs, ys, rngs, b=1):
+        self.calls.extend((agent, np.array(x, copy=True)) for agent, x in zip(agents, xs))
+        return self._inner.sample(agents, xs, ys, rngs, b)
 
 
 class TestSgdEta:
@@ -101,10 +101,10 @@ class TestFedSbo:
         sched = StepSchedule("diminishing", c1=2.0, mu=1.0)  # beta(0) = 1
         central = init_central(p, b=2)
         out = fedsbo_round(central, p, sched, 0, agent_round_streams(0, "oracle", 3, 0))
-        draws = [p.sample(a, central.x[0], central.y[0], r, 2)
+        draws = [p.sample([a], central.x, central.y, [r], 2)
                  for a, r in enumerate(agent_round_streams(0, "oracle", 3, 0))]
-        assert np.allclose(out.s[0], np.mean([d.gx_f for d in draws], axis=0), atol=1e-15)
-        assert np.allclose(out.u[0], np.mean([d.hxy_g for d in draws], axis=0), atol=1e-15)
+        assert np.allclose(out.s[0], np.mean([d.gx_f[0] for d in draws], axis=0), atol=1e-15)
+        assert np.allclose(out.u[0], np.mean([d.hxy_g[0] for d in draws], axis=0), atol=1e-15)
 
     def test_estimator_bias_contracts_geometrically(self):
         # zero noise, frozen iterates: s_t - target shrinks by (1 - beta)
@@ -112,7 +112,7 @@ class TestFedSbo:
         central = init_central(p, b=2)
         sched = StepSchedule("constant", k=2, t_total=400, c0=1e-12, beta_scale=1.0)
         beta = sched.beta(0)
-        target = np.mean([p.sample(a, central.x[0], central.y[0], None, 1).gx_f
+        target = np.mean([p.sample([a], central.x, central.y, None, 1).gx_f[0]
                           for a in range(2)], axis=0)
         errs = []
         for t in range(3):
@@ -228,7 +228,7 @@ class TestDsgd:
                              exact_oracle=True, homogeneous=True)
         rec = ListRecorder()
         dsgd_run(p, build_complete(1), 6, lambda t: 0.0, lambda i: 0.5, 0, rec)
-        val = p.comp_value(0, np.zeros(3), None)[: p.d_y]
+        val = p.comp_value([0], np.zeros((1, 3)), None)[0, : p.d_y]
         for t, _, ys, _, _ in rec.rows[1:]:
             frac = 1.0 - 0.5 ** (t - 1)  # outer step t-1 ran t-1 inner steps
             assert np.allclose(ys[0], frac * val, atol=1e-12), f"row {t}"

@@ -235,6 +235,16 @@ class TestSweep:
         assert len(read_trace(str(partial)).records) >= 1
         assert not (out / "sweep_summary.json").exists()
 
+    def test_seed_override_is_config_error(self, tmp_path, capsys):
+        # sweep sets each run's seed itself, so an override would be ignored
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", cfg_path, "--seeds", "1", "--set", "seed=5",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--set seed" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seeds", ["0", "-2"])
     def test_seed_count_below_one_is_usage_error(self, tmp_path, capsys, seeds):
         cfg_path = write_config(tmp_path)
@@ -401,6 +411,14 @@ class TestReplicate:
                      "--set", "t_total=30", "--set", "topology.k=3", "--out", str(out)])
         assert code == EXIT_CONFIG
         assert "topology.k" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_seed_override_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        code = main(["replicate", "policy-eval", "--seeds", "1",
+                     "--set", "t_total=5", "--set", "seed=5", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--set seed" in capsys.readouterr().err
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -334,8 +334,9 @@ class TestDsboRound:
         out = dsbo_round(state, w, p, sched, t, agent_round_streams(0, "oracle", k, t))
 
         alpha, beta, gamma = sched.alpha(t), sched.beta(t), sched.gamma(t)
+        # one one-row oracle call per agent, independent of the batched round
         samples = [
-            p.sample(a, state.x[a], state.y[a], r, b)
+            p.sample([a], state.x[a:a + 1], state.y[a:a + 1], [r], b)
             for a, r in enumerate(agent_round_streams(0, "oracle", k, t))
         ]
         for i in range(k):
@@ -345,11 +346,11 @@ class TestDsboRound:
             z_i = state.s[i] - state.u[i] @ state.q[i]
             expect = {
                 "x": mixed("x") - alpha * z_i,
-                "y": mixed("y") - gamma * samples[i].gy_g,
-                "s": (1 - beta) * mixed("s") + beta * samples[i].gx_f,
-                "h": (1 - beta) * mixed("h") + beta * samples[i].gy_f,
-                "u": (1 - beta) * mixed("u") + beta * samples[i].hxy_g,
-                "v": (1 - beta) * mixed("v") + beta * samples[i].hyy_g_draws,
+                "y": mixed("y") - gamma * samples[i].gy_g[0],
+                "s": (1 - beta) * mixed("s") + beta * samples[i].gx_f[0],
+                "h": (1 - beta) * mixed("h") + beta * samples[i].gy_f[0],
+                "u": (1 - beta) * mixed("u") + beta * samples[i].hxy_g[0],
+                "v": (1 - beta) * mixed("v") + beta * samples[i].hyy_g_draws[0],
             }
             expect["q"] = neumann_chain(expect["v"], l_g) @ expect["h"]
             assert set(expect) == set(STATE_FIELDS)

@@ -422,7 +422,11 @@ class TestHyperoptDataFile:
         problem = build_problem(cfg, k=4)
         assert problem.k == 4 and problem.d_x == problem.d_y == 4
         # 40 rows over 4 agents, each shard split half train, half validation
-        for shards in (problem._train, problem._val):
+        for w, z, starts, sizes in (
+            (problem._train_w, problem._train_z, problem._train_start, problem._train_size),
+            (problem._val_w, problem._val_z, problem._val_start, problem._val_size),
+        ):
+            shards = [(w[lo:lo + n], z[lo:lo + n]) for lo, n in zip(starts, sizes)]
             assert [w.shape for w, _ in shards] == [(5, 4)] * 4
             assert [z.shape for _, z in shards] == [(5,)] * 4
             assert all(set(np.unique(z)) <= {0.0, 1.0} for _, z in shards)

@@ -14,6 +14,7 @@ from dsbo import (
     ProblemConstants,
     QuadraticBilevel,
     Recorder,
+    StochasticSample,
     densify,
     init_agents,
     make_hyperopt,
@@ -26,7 +27,14 @@ from dsbo import (
     train_val_split,
 )
 from dsbo.harness import resolve_reference
+from dsbo.problems.base import clip_spectrum
 from dsbo.problems.hyperopt import logistic_grad, logistic_loss, sigmoid, softplus
+
+
+def draw(problem, agent, x, y, rng, b=1):
+    """One agent's draw at (x, y): a one-row ``sample`` call, unstacked."""
+    sm = problem.sample([agent], x[None], y[None], [rng], b)
+    return StochasticSample(**{name: field[0] for name, field in vars(sm).items()})
 
 
 def finite_diff_hypergrad(problem, x, step=1e-5):
@@ -120,7 +128,7 @@ class TestQuadraticFamily:
 
     def test_agent_means_exact(self):
         p = make_quadratic(5, 4, 4, seed=3, heterogeneity=2.0)
-        gx = np.mean([p.sample(a, np.zeros(4), np.zeros(4),
+        gx = np.mean([draw(p, a, np.zeros(4), np.zeros(4),
                                np.random.default_rng(0), 1).gx_f for a in range(5)], axis=0)
         # sigma_f noise is zero-mean but nonzero per draw; compare the
         # noiseless structure instead via exact_gradients
@@ -130,7 +138,7 @@ class TestQuadraticFamily:
     def test_k1_heterogeneity_collapses(self):
         p = make_quadratic(1, 4, 4, seed=3, heterogeneity=5.0)
         x = np.ones(4)
-        sample = p.sample(0, x, np.zeros(4), np.random.default_rng(0), 1)
+        sample = draw(p, 0, x, np.zeros(4), np.random.default_rng(0), 1)
         # single agent: a_0 == abar exactly, so the draw is exact plus noise
         exact = p.exact_gradients(x, np.zeros(4)).gx_f
         assert np.abs(sample.gx_f - exact).max() <= p.constants.sigma_f * math.sqrt(3) + 1e-12
@@ -138,7 +146,7 @@ class TestQuadraticFamily:
     def test_zero_noise_draws_are_exact(self):
         p = make_quadratic(3, 4, 4, seed=11, sigma_f=0.0, sigma_g=0.0)
         x, y = np.ones(4), np.full(4, 0.5)
-        sm = p.sample(1, x, y, np.random.default_rng(0), 2)
+        sm = draw(p, 1, x, y, np.random.default_rng(0), 2)
         assert np.allclose(sm.hyy_g_draws[0], sm.hyy_g_draws[1])
         assert np.allclose(sm.gy_f, y)
 
@@ -147,7 +155,7 @@ class TestQuadraticFamily:
         c = p.constants
         x, y = np.zeros(3), np.zeros(6)
         for i in range(300):
-            sm = p.sample(i % 2, x, y, stream(99, "spectest", i), 3)
+            sm = draw(p, i % 2, x, y, stream(99, "spectest", i), 3)
             for hyy in sm.hyy_g_draws:
                 assert np.abs(hyy - hyy.T).max() < 1e-12
                 evals = np.linalg.eigvalsh(hyy)
@@ -195,7 +203,7 @@ class TestPolicyEval:
                               sigma_r=0.0)
         x = rng.standard_normal(2)
         assert np.allclose(p.exact_lower(x), 0.9 * phi[nxt] @ x)
-        sm = p.sample(0, x, np.zeros(4), np.random.default_rng(0), 1)
+        sm = draw(p, 0, x, np.zeros(4), np.random.default_rng(0), 1)
         # point-mass transition + zero noise: the sampled inner gradient is exact
         assert np.allclose(sm.gy_g, np.zeros(4) - 0.9 * phi[nxt] @ x)
 
@@ -218,7 +226,7 @@ class TestPolicyEval:
         p = make_policy_eval(2, 10, 3, gamma=0.5, lam=1.0, seed=9)
         c = p.constants
         assert (c.mu_g, c.l_g, c.kappa_g) == (1.0, 1.0, 1.0)
-        sm = p.sample(0, np.zeros(3), np.zeros(10), np.random.default_rng(0), 2)
+        sm = draw(p, 0, np.zeros(3), np.zeros(10), np.random.default_rng(0), 2)
         assert np.allclose(sm.hyy_g_draws, np.eye(10))
 
     def test_gamma_one_rejected(self):
@@ -235,7 +243,7 @@ class TestPolicyEval:
         q = make_policy_eval(4, 6, 3, gamma=0.5, lam=1.0, seed=10, homogeneous=True,
                              exact_oracle=True)
         rng = np.random.default_rng(0)
-        draws = [q.sample(a, np.ones(3), np.zeros(6), rng, 1).gy_g for a in range(4)]
+        draws = [draw(q, a, np.ones(3), np.zeros(6), rng, 1).gy_g for a in range(4)]
         for d in draws[1:]:
             assert np.allclose(d, draws[0])
         assert np.allclose(g0.gy_g, draws[0])
@@ -243,10 +251,10 @@ class TestPolicyEval:
     def test_compositional_interface(self):
         p = make_policy_eval(2, 6, 3, gamma=0.5, lam=1.0, seed=12, exact_oracle=True)
         x = np.ones(3)
-        val = p.comp_value(0, x, np.random.default_rng(0))
+        val = p.comp_value([0], x[None], [np.random.default_rng(0)])[0]
         assert val.shape == (p.comp_dim,)
         assert np.allclose(val[p.d_y:], x)
-        jac = p.comp_jac(0, x, np.random.default_rng(0))
+        jac = p.comp_jac([0], x[None], [np.random.default_rng(0)])[0]
         assert jac.shape == (p.d_x, p.comp_dim)
         assert np.allclose(jac[:, p.d_y:], np.eye(3))
 
@@ -267,7 +275,7 @@ class TestHyperopt:
         # softplus(x) + 0.1 == 0.1 requires softplus(x) -> 0: x -> -inf;
         # x = -50 is far past double precision underflow of softplus
         x = np.full(2, -50.0)
-        sm = prob.sample(0, x, np.zeros(2), np.random.default_rng(0), 1)
+        sm = draw(prob, 0, x, np.zeros(2), np.random.default_rng(0), 1)
         assert np.allclose(sm.hyy_g_draws[0], np.array([[0.35, 0.0], [0.0, 0.1]]),
                            atol=1e-12)
 
@@ -302,7 +310,7 @@ class TestHyperopt:
     def test_regularizer_floor_keeps_convexity(self):
         prob = make_synthetic_hyperopt(2, 20, 3, seed=9, reg_floor=1e-3)
         x = np.full(3, -40.0)  # softplus underflows to 0
-        sm = prob.sample(0, x, np.zeros(3), np.random.default_rng(0), 1)
+        sm = draw(prob, 0, x, np.zeros(3), np.random.default_rng(0), 1)
         assert np.linalg.eigvalsh(sm.hyy_g_draws[0]).min() >= 1e-3 - 1e-15
 
     def test_empty_partition_rejected(self):
@@ -489,7 +497,7 @@ class TestOracleMoments:
         total = per_agent * problem.k
         for agent in range(problem.k):
             for i in range(per_agent):
-                sm = problem.sample(agent, x, y, stream(seed, "moment", agent, i), 1)
+                sm = draw(problem, agent, x, y, stream(seed, "moment", agent, i), 1)
                 for f, v in (("gx_f", sm.gx_f), ("gy_f", sm.gy_f), ("gy_g", sm.gy_g),
                              ("hxy_g", sm.hxy_g), ("hyy_g", sm.hyy_g_draws[0])):
                     sums[f] += v
@@ -509,3 +517,94 @@ class TestOracleMoments:
 
     def test_hyperopt(self):
         self.run_moment_check(make_synthetic_hyperopt(2, 24, 3, seed=23))
+
+
+def _unequal_hyperopt():
+    """Four agents with unequal (train, validation) shards and minibatch 3."""
+    rng = np.random.default_rng(5)
+    datasets = [
+        tuple((rng.standard_normal((n, 4)), (rng.random(n) < 0.5).astype(float))
+              for n in sizes)
+        for sizes in ((3, 4), (7, 2), (5, 6), (1, 3))
+    ]
+    return make_hyperopt(4, datasets, reg_floor=0.01, minibatch=3)
+
+
+# name -> (problem, scale of every third row's x, module whose clip_spectrum
+# the case must reach).  Hyperopt x = O(60) pushes softplus past the
+# spectral ball; quadratic kappa_g = 0.2 leaves a Frobenius budget of 0.2,
+# which sigma_g = 0.2 noise often exceeds.
+BATCH_CASES = {
+    "policy-eval": (make_policy_eval(3, 8, 3, gamma=0.6, lam=1.0, seed=3), 1.0, None),
+    "policy-eval-exact": (
+        make_policy_eval(3, 8, 3, gamma=0.6, lam=1.0, seed=3, exact_oracle=True), 1.0, None),
+    "quadratic-clip": (
+        make_quadratic(3, 3, 5, seed=13, sigma_f=0.2, sigma_g=0.2, kappa_g=0.2),
+        1.0, "dsbo.problems.quadratic"),
+    "hyperopt-mb3": (_unequal_hyperopt(), 60.0, "dsbo.problems.hyperopt"),
+}
+DRAW_FIELDS = ("gx_f", "gy_f", "gy_g", "hxy_g", "hyy_g_draws")
+
+
+class TestBatchedSample:
+    """Row r of a batched draw depends on row r's agent, x, y and generator only."""
+
+    @staticmethod
+    def inputs(problem, scale, seed, rows):
+        rng = np.random.default_rng(seed)
+        agents = rng.integers(0, problem.k, rows).tolist()
+        xs = rng.standard_normal((rows, problem.d_x))
+        xs[::3] *= scale
+        ys = rng.standard_normal((rows, problem.d_y))
+        return agents, xs, ys, [stream(seed, "batch", r) for r in range(rows)]
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 7), b=st.integers(1, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_row_equals_one_row_call(self, case, seed, rows, b):
+        problem, scale, _ = BATCH_CASES[case]
+        agents, xs, ys, rngs = self.inputs(problem, scale, seed, rows)
+        full = problem.sample(agents, xs, ys, rngs, b)
+        _, _, _, rngs = self.inputs(problem, scale, seed, rows)
+        for r in range(rows):
+            one = problem.sample([agents[r]], xs[r:r + 1], ys[r:r + 1], [rngs[r]], b)
+            for name in DRAW_FIELDS:
+                assert getattr(full, name).shape[0] == rows
+                assert np.array_equal(getattr(full, name)[r], getattr(one, name)[0]), (
+                    f"{case}: row {r} field {name}")
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(2, 7), b=st.integers(1, 3))
+    @settings(max_examples=15, deadline=None)
+    def test_other_rows_do_not_leak(self, case, seed, rows, b):
+        problem, scale, _ = BATCH_CASES[case]
+        agents, xs, ys, rngs = self.inputs(problem, scale, seed, rows)
+        base = problem.sample(agents, xs, ys, rngs, b)
+        keep = seed % rows
+        others = np.arange(rows) != keep
+        _, xs2, ys2, rngs2 = self.inputs(problem, scale, seed + 1, rows)
+        _, _, _, rngs = self.inputs(problem, scale, seed, rows)
+        rngs2[keep] = rngs[keep]
+        xs2[keep], ys2[keep] = xs[keep], ys[keep]
+        assert not np.array_equal(xs2[others], xs[others])
+        moved = problem.sample(agents, xs2, ys2, rngs2, b)
+        for name in DRAW_FIELDS:
+            assert np.array_equal(getattr(moved, name)[keep], getattr(base, name)[keep]), (
+                f"{case}: row {keep} field {name} moved with the other rows")
+
+    @pytest.mark.parametrize("case", [c for c, (_, _, mod) in BATCH_CASES.items() if mod])
+    def test_clipping_cases_reach_the_clip(self, case, monkeypatch):
+        problem, scale, module = BATCH_CASES[case]
+        clipped = []
+        clip = clip_spectrum
+
+        def counting_clip(mats, lo, hi):
+            clipped.append(mats.shape[0])
+            return clip(mats, lo, hi)
+
+        monkeypatch.setattr(f"{module}.clip_spectrum", counting_clip)
+        problem.sample(*self.inputs(problem, scale, 0, 12), 3)
+        # hyperopt clips whole rows, quadratic single Hessian draws; the
+        # batch must mix clipped and unclipped ones
+        units = 12 if case.startswith("hyperopt") else 12 * 3
+        assert 0 < sum(clipped) < units

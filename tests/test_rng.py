@@ -1,5 +1,8 @@
 """Keyed random streams: reproducibility and independence."""
 
+import itertools
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,3 +96,27 @@ def test_spawn_key_based_not_state_based():
 def test_seed_must_be_int_like():
     with pytest.raises((TypeError, ValueError)):
         stream("not-a-seed", "p")  # type: ignore[arg-type]
+
+
+# Seeds and keys at the uint32 word boundaries and past 64 bits.
+PIN_VALUES = (0, 1, 2**32 - 1, 2**32, 2**64 + 5)
+
+
+@pytest.mark.parametrize("seed", PIN_VALUES)
+@pytest.mark.parametrize("arity", range(4))
+def test_pinned_to_seed_sequence_derivation(seed, arity):
+    # stream() assembles SeedSequence's entropy array itself; its bits must
+    # stay those of the SeedSequence(entropy, spawn_key) construction
+    for key in itertools.product(PIN_VALUES, repeat=arity):
+        want = np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=(zlib.crc32(b"oracle"), *key)))
+        got = stream(seed, "oracle", *key)
+        assert got.bit_generator.state == want.bit_generator.state, (seed, key)
+        assert np.array_equal(got.integers(0, 2**63, 8), want.integers(0, 2**63, 8))
+
+
+def test_negative_seed_or_key_raises():
+    with pytest.raises(ValueError):
+        stream(-1, "p")
+    with pytest.raises(ValueError):
+        stream(0, "p", 3, -2)
