@@ -110,7 +110,7 @@ def dbsa_run(
     gradient only.
     """
     n_agents = problem.k
-    agents = range(n_agents)
+    agents = np.arange(n_agents)
     consts = problem.constants
     xs = np.zeros((n_agents, consts.d_x))
     ys = np.zeros((n_agents, consts.d_y))
@@ -121,12 +121,12 @@ def dbsa_run(
         for t in range(t_total):
             for i in range(t):
                 eta = eta_schedule(i)
-                rngs = [stream(master_seed, "dbsa-inner", agent, t, i) for agent in agents]
+                rngs = stream(master_seed, "dbsa-inner", agents, t, i)
                 grads = problem.sample(agents, xs, ys, rngs, 1).gy_g
                 ys = gossip_mix(ys, w) - eta * grads
             xi += t
 
-            rngs = [stream(master_seed, "dbsa-outer", agent, t) for agent in agents]
+            rngs = stream(master_seed, "dbsa-outer", agents, t)
             outer = problem.sample(agents, xs, ys, rngs, corr_depth)
             steps = outer.gx_f
             if full_hypergrad:
@@ -170,7 +170,7 @@ def dsgd_run(
             f"{type(problem).__name__} is not one"
         )
     n_agents = problem.k
-    agents = range(n_agents)
+    agents = np.arange(n_agents)
     xs = np.zeros((n_agents, problem.constants.d_x))
     inner = np.zeros((n_agents, problem.comp_dim))
     zeta = xi = 0
@@ -181,12 +181,12 @@ def dsgd_run(
             inner = np.zeros((n_agents, problem.comp_dim))
             for i in range(t):
                 eta = eta_schedule(i)
-                rngs = [stream(master_seed, "dsgd-inner", agent, t, i) for agent in agents]
+                rngs = stream(master_seed, "dsgd-inner", agents, t, i)
                 fresh = problem.comp_value(agents, xs, rngs)
                 inner = (1.0 - eta) * gossip_mix(inner, w) + eta * fresh
             xi += t
 
-            rngs = [stream(master_seed, "dsgd-outer", agent, t) for agent in agents]
+            rngs = stream(master_seed, "dsgd-outer", agents, t)
             steps = matvec(problem.comp_jac(agents, xs, rngs), problem.comp_outer_grad(inner))
             xs = gossip_mix(xs, w) - alpha_schedule(t) * steps
             zeta += 1

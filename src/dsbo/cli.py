@@ -162,8 +162,8 @@ def cmd_sweep(args) -> int:
 
 def _check_spectral_safety(problem, seed: int, report, n_draws: int = 1000):
     c = problem.constants
-    agents = [i % problem.k for i in range(n_draws)]
-    rngs = [stream(seed, "validate-spectral", agent, i) for i, agent in enumerate(agents)]
+    agents = np.arange(n_draws) % problem.k
+    rngs = stream(seed, "validate-spectral", agents, np.arange(n_draws))
     draws = problem.sample(agents, np.zeros((n_draws, problem.d_x)),
                            np.zeros((n_draws, problem.d_y)), rngs, 1)
     evals = np.linalg.eigvalsh(draws.hyy_g_draws[:, 0])
@@ -183,8 +183,7 @@ def _smoke_unbiasedness(problem, seed: int, report, n_draws: int = 1000, n_se: f
     per_agent = n_draws // problem.k
     total = per_agent * problem.k
     agents = np.repeat(np.arange(problem.k), per_agent)
-    rngs = [stream(seed, "validate-smoke", agent, i)
-            for agent in range(problem.k) for i in range(per_agent)]
+    rngs = stream(seed, "validate-smoke", np.arange(problem.k)[:, None], np.arange(per_agent))
     draws = problem.sample(agents, np.broadcast_to(x, (total, problem.d_x)),
                            np.broadcast_to(y, (total, problem.d_y)), rngs, 1)
     for name, target, field in (

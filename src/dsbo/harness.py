@@ -30,7 +30,6 @@ from .core import StepSchedule, default_b, dsbo_round, init_agents
 from .errors import ConfigError, DivergenceError, NumericsError
 from .problems import (
     densify,
-    implicit_hypergrad,
     make_hyperopt,
     make_policy_eval,
     make_quadratic,
@@ -357,7 +356,7 @@ class Recorder:
         ybar = ys.mean(axis=0)
         y_star = self.problem.exact_lower(xbar)
         exact = self.problem.exact_gradients(xbar, y_star)
-        grad = implicit_hypergrad(exact)
+        grad = self.problem.implicit_hypergrad(exact)
         diff = xbar - self.x_star
         errs = {"s": 0.0, "h": 0.0, "u": 0.0, "v": 0.0}
         if est is not None:
@@ -496,7 +495,7 @@ def resolve_reference(problem) -> tuple[np.ndarray, float, str]:
     def value_and_grad(x):
         y_star = problem.exact_lower(x)
         exact = problem.exact_gradients(x, y_star)
-        return problem.outer_value(x, y_star), implicit_hypergrad(exact)
+        return problem.outer_value(x, y_star), problem.implicit_hypergrad(exact)
 
     result = optimize.minimize(
         value_and_grad,

@@ -5,7 +5,6 @@ from .base import (
     ExactGradients,
     ProblemConstants,
     StochasticSample,
-    implicit_hypergrad,
 )
 from .data import densify, parse_libsvm, split_partition, train_val_split
 from .hyperopt import (
@@ -29,7 +28,6 @@ __all__ = [
     "QuadraticBilevel",
     "StochasticSample",
     "densify",
-    "implicit_hypergrad",
     "logistic_grad",
     "logistic_loss",
     "make_hyperopt",

@@ -83,15 +83,6 @@ class ExactGradients(NamedTuple):
     hyy_g: np.ndarray
 
 
-def implicit_hypergrad(exact: ExactGradients) -> np.ndarray:
-    """grad F = gx_f - hxy_g [hyy_g]^{-1} gy_f, evaluated at y = y*(x).
-
-    The implicit-function form of the hypergradient; the round's
-    estimator z = s - u q approximates the same expression.
-    """
-    return exact.gx_f - exact.hxy_g @ np.linalg.solve(exact.hyy_g, exact.gy_f)
-
-
 class BilevelProblem(abc.ABC):
     """Behavior contract every problem family implements."""
 
@@ -135,9 +126,25 @@ class BilevelProblem(abc.ABC):
     def outer_value(self, x: np.ndarray, y: np.ndarray) -> float:
         """Agent-averaged outer objective f(x, y) at an arbitrary (x, y)."""
 
+    def inner_solve(self, hyy_g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """[hyy_g]^{-1} rhs for the exact inner Hessian of ``exact_gradients``.
+
+        A dense solve; a family whose inner Hessian has structure
+        overrides it.
+        """
+        return np.linalg.solve(hyy_g, rhs)
+
+    def implicit_hypergrad(self, exact: ExactGradients) -> np.ndarray:
+        """grad F = gx_f - hxy_g [hyy_g]^{-1} gy_f, evaluated at y = y*(x).
+
+        The implicit-function form of the hypergradient; the round's
+        estimator z = s - u q approximates the same expression.
+        """
+        return exact.gx_f - exact.hxy_g @ self.inner_solve(exact.hyy_g, exact.gy_f)
+
     def exact_hypergrad(self, x: np.ndarray) -> np.ndarray:
         """Total derivative of F(x) = f(x, y*(x)) through the inner solution."""
-        return implicit_hypergrad(self.exact_gradients(x, self.exact_lower(x)))
+        return self.implicit_hypergrad(self.exact_gradients(x, self.exact_lower(x)))
 
     def objective(self, x: np.ndarray) -> float:
         """F(x), the outer objective at the exact inner solution."""

@@ -155,6 +155,10 @@ class PolicyEvalBilevel(BilevelProblem):
             hyy_g=self._eye,
         )
 
+    def inner_solve(self, hyy_g, rhs):
+        # the exact inner Hessian is the identity
+        return rhs
+
     def optimum(self):
         return self._x_star, self._f_star
 

@@ -400,6 +400,31 @@ class TestRun:
         last = trace.records[-1]
         assert last.samples_xi == 10 * 9 // 2 + 10
 
+    @pytest.mark.parametrize("algorithm, family, calls", [
+        ("dsbo", "quadratic", 7),  # one per round
+        ("fedsbo", "quadratic", 7),
+        ("dbsa", "quadratic", 7 * 6 // 2 + 7),  # one per inner and per outer step
+        ("dsgd", "policy-eval", 7 * 6 // 2 + 7),
+    ])
+    def test_one_stream_call_per_round_or_step(self, monkeypatch, algorithm, family, calls):
+        # every agent's stream for a round or step comes from one call
+        import dsbo.baselines
+        import dsbo.rng
+
+        seen = []
+        derive = dsbo.rng.stream
+
+        def counting(*args):
+            seen.append(args[1])
+            return derive(*args)
+
+        monkeypatch.setattr(dsbo.rng, "stream", counting)
+        monkeypatch.setattr(dsbo.baselines, "stream", counting)
+        problem = ProblemConfig(family=family, d_x=4, d_y=4, n_states=8, feat_dim=3, seed=2)
+        run(quad_config(algorithm=algorithm, t_total=7, problem=problem,
+                        topology=TopologyConfig(kind="ring", k=4)))
+        assert len(seen) == calls
+
     def test_chain_rule_rejects_quadratic(self):
         with pytest.raises(ConfigError, match="compositional"):
             run(quad_config(algorithm="dsgd"))

@@ -259,6 +259,37 @@ class TestPolicyEval:
         assert np.allclose(jac[:, p.d_y:], np.eye(3))
 
 
+    def test_record_runs_no_dense_solve(self, monkeypatch):
+        # the exact inner Hessian is the identity, so the family skips the solve
+        p = make_policy_eval(3, 20, 4, gamma=0.6, lam=1.0, seed=13)
+        x_star, f_star = p.optimum()
+        state = init_agents(p, b=2)
+        recorder = Recorder(p, cadence=1, t_total=2, x_star=x_star, f_star=f_star)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        recorder.record(0, state.x + 0.3, state.y, 0, 0, est=state)
+        recorder.record(1, state.x - 0.2, state.y, 1, 1)
+        assert len(recorder.records) == 2
+
+
+@pytest.mark.parametrize("problem", [
+    make_quadratic(3, 4, 5, seed=21),
+    make_policy_eval(3, 20, 4, gamma=0.6, lam=1.0, seed=13),
+    make_synthetic_hyperopt(3, 40, 4, seed=5),
+], ids=["quadratic", "policy-eval", "hyperopt"])
+def test_exact_hypergrad_equals_solve_form(problem):
+    # a family's own inner solve must give the dense solve's bits
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        x = rng.standard_normal(problem.d_x)
+        exact = problem.exact_gradients(x, problem.exact_lower(x))
+        dense = exact.gx_f - exact.hxy_g @ np.linalg.solve(exact.hyy_g, exact.gy_f)
+        assert np.array_equal(problem.exact_hypergrad(x), dense)
+
+
 class TestHyperopt:
     def test_logistic_loss_at_zero(self):
         w = np.array([1.0, -2.0])

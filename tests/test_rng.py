@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dsbo import agent_round_streams, stream
 
@@ -120,3 +121,85 @@ def test_negative_seed_or_key_raises():
         stream(-1, "p")
     with pytest.raises(ValueError):
         stream(0, "p", 3, -2)
+
+
+def _seed_sequence_state(seed, purpose, *key):
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(zlib.crc32(purpose.encode()), *key))
+    return np.random.default_rng(seq).bit_generator.state
+
+
+@pytest.mark.parametrize("seed", PIN_VALUES)
+def test_batched_pinned_to_seed_sequence_derivation(seed):
+    # one call whose rows take 1, 2 and 3 uint32 words per key part: the
+    # array parts mix one- and two-word values, the scalar part has three
+    column = np.array([v for v in PIN_VALUES if v < 2**64], dtype=np.uint64)
+    wide = PIN_VALUES[-1]
+    got = stream(seed, "oracle", column[:, None], wide, column[None, :])
+    assert len(got) == column.size**2
+    for gen, (a, b) in zip(got, itertools.product(column.tolist(), repeat=2)):
+        assert gen.bit_generator.state == _seed_sequence_state(seed, "oracle", a, wide, b), (a, b)
+
+
+_KEYS = st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _broadcast_keys(draw):
+    """Two key parts, at least one an array; shapes broadcast, sides may be 0."""
+    shapes = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=2, min_dims=0, max_dims=2, min_side=0, max_side=3))
+    parts = [draw(hnp.arrays(np.uint64, shape, elements=_KEYS)) for shape in shapes.input_shapes]
+    if all(p.ndim == 0 for p in parts):
+        parts[0] = parts[0][None]
+    scalar = draw(st.sampled_from([None, 0, 1]))
+    if scalar is not None and parts[1 - scalar].ndim:
+        parts[scalar] = int(parts[scalar].ravel()[0]) if parts[scalar].size else 7
+    return parts
+
+
+@given(st.integers(0, 2**40), _broadcast_keys())
+@settings(max_examples=40, deadline=None)
+def test_batched_elements_match_scalar_calls(seed, parts):
+    a, b = parts
+    got = stream(seed, "p", a, b)
+    flat_a, flat_b = (x.ravel().tolist() for x in np.broadcast_arrays(a, b))
+    assert isinstance(got, list) and len(got) == len(flat_a)
+    for gen, ka, kb in zip(got, flat_a, flat_b):
+        assert gen.bit_generator.state == stream(seed, "p", ka, kb).bit_generator.state
+
+
+def test_empty_array_key_gives_empty_list():
+    assert stream(3, "p", np.arange(0), 5) == []
+    assert stream(3, "p", np.zeros((2, 0), dtype=np.int64)) == []
+
+
+@pytest.mark.parametrize("bad", [1.7, 2.0, "3", np.float64(1.0), np.array([1.0, 2.0]),
+                                 np.array(["1"]), [0.5]])
+def test_non_integer_key_raises_type_error(bad):
+    with pytest.raises(TypeError):
+        stream(0, "p", bad)
+    with pytest.raises(TypeError):
+        stream(0, "p", np.arange(3), bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.9, "3", np.float64(2.0)])
+def test_non_integer_seed_raises_type_error(bad):
+    with pytest.raises(TypeError):
+        stream(bad, "p", 1)
+
+
+def test_numpy_integers_accepted():
+    want = stream(4, "p", 2, 9).bit_generator.state
+    assert stream(np.uint8(4), "p", np.int32(2), np.int64(9)).bit_generator.state == want
+    assert stream(4, "p", np.array(2), 9).bit_generator.state == want
+    assert stream(4, "p", np.array([2], dtype=np.uint16), 9)[0].bit_generator.state == want
+
+
+def test_negative_array_key_raises():
+    with pytest.raises(ValueError):
+        stream(0, "p", np.array([3, -1]))
+
+
+def test_derived_generators_cannot_spawn():
+    with pytest.raises(TypeError):
+        stream(0, "p", 1).spawn(2)
