@@ -224,8 +224,8 @@ def round_step(state: NetworkState, mix, draws: StochasticSample, schedule: Step
     """Advance every row of ``state`` one round; all reads see the round-t snapshot.
 
     ``mix`` is the (K, K) gossip matrix and ``draws`` holds the oracle
-    draws stacked over the same K rows.  Raises a divergence error naming
-    the first non-finite agent and field.
+    draws stacked over the same K rows; neither is written.  Raises a
+    divergence error naming the first non-finite agent and field.
     """
     alpha, beta, gamma = schedule.alpha(t), schedule.beta(t), schedule.gamma(t)
     x = gossip_mix(state.x, mix) - alpha * hypergrad_estimate(state.s, state.u, state.q)
@@ -233,7 +233,13 @@ def round_step(state: NetworkState, mix, draws: StochasticSample, schedule: Step
     s = (1.0 - beta) * gossip_mix(state.s, mix) + beta * draws.gx_f
     h = (1.0 - beta) * gossip_mix(state.h, mix) + beta * draws.gy_f
     u = (1.0 - beta) * gossip_mix(state.u, mix) + beta * draws.hxy_g
-    v = (1.0 - beta) * gossip_mix(state.v, mix) + beta * draws.hyy_g_draws
+    # The v stack is the round's largest array: refresh the fresh mixed
+    # buffer in place, one agent row of draws at a time, so the only
+    # temporary is one row.  Same products and sum as the other fields.
+    v = gossip_mix(state.v, mix)
+    v *= 1.0 - beta
+    for row, draw in zip(v, draws.hyy_g_draws, strict=True):
+        row += beta * draw
     new = NetworkState(x=x, y=y, s=s, h=h, u=u, v=v, q=neumann_apply(v, h, l_g))
     check_finite(((name, getattr(new, name)) for name in _FIELDS), t)
     return new

@@ -246,7 +246,7 @@ TRACE_COLUMNS = (
 _INT_COLUMNS = {"t", "samples_zeta", "samples_xi"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """Metrics at one recorded round, all against exact evaluators.
 

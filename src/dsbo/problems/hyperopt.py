@@ -174,18 +174,21 @@ class HyperoptBilevel(BilevelProblem):
     def exact_lower(self, x):
         """y*(x) by damped Newton on the full-data inner objective."""
         y = np.zeros(self.d_y)
+        grad = self._full_inner_grad(x, y)
+        gnorm = np.linalg.norm(grad)
         for _ in range(100):
-            grad = self._full_inner_grad(x, y)
-            gnorm = np.linalg.norm(grad)
             if gnorm <= 1e-12:
                 return y
             step = np.linalg.solve(self._full_inner_hess(x, y), grad)
-            # Damped Newton: halve until the gradient norm decreases.
+            # Damped Newton: halve until the gradient norm decreases.  The
+            # accepted trial's gradient is the next iteration's.
             scale = 1.0
             for _ in range(40):
                 trial = y - scale * step
-                if np.linalg.norm(self._full_inner_grad(x, trial)) < gnorm:
-                    y = trial
+                trial_grad = self._full_inner_grad(x, trial)
+                trial_norm = np.linalg.norm(trial_grad)
+                if trial_norm < gnorm:
+                    y, grad, gnorm = trial, trial_grad, trial_norm
                     break
                 scale *= 0.5
             else:

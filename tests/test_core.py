@@ -14,15 +14,20 @@ from dsbo import (
     DivergenceError,
     MixingMatrix,
     StepSchedule,
+    StochasticSample,
     agent_round_streams,
     build_ring,
     check_finite,
     default_b,
     dsbo_round,
     init_agents,
+    init_central,
+    make_policy_eval,
     make_quadratic,
+    make_synthetic_hyperopt,
     neumann_apply,
     neumann_chain,
+    round_step,
 )
 
 # Frozen from an independent scalar recursion Q_i = 1 + (1 - mu/L) Q_{i-1}:
@@ -31,6 +36,15 @@ from dsbo import (
 NEUMANN_SCALAR_10 = 1.9990234375
 
 STATE_FIELDS = ("x", "y", "s", "h", "u", "v", "q")
+
+
+def _desynchronized(state, rng):
+    """``state`` with random iterates and estimators, v kept symmetric."""
+    noise = 0.05 * rng.standard_normal(state.v.shape)
+    return dataclasses.replace(
+        state, **{f: rng.standard_normal(getattr(state, f).shape) for f in "xyshuq"},
+        v=state.v + noise + noise.swapaxes(-1, -2),
+    )
 
 
 class TestNeumannChain:
@@ -373,12 +387,62 @@ class TestDsboRound:
         assert np.allclose(out.x.mean(axis=0), expect, atol=1e-12)
 
     def test_inputs_left_untouched(self, setup):
-        p, w, sched = setup
-        state = init_agents(p, 2)
-        before = {f: getattr(state, f).copy() for f in STATE_FIELDS}
-        dsbo_round(state, w, p, sched, 0, agent_round_streams(0, "oracle", 3, 0))
-        for f, old in before.items():
-            assert np.array_equal(getattr(state, f), old)
+        # round_step refreshes v in a buffer of its own: neither the state
+        # nor the draws may be written, whether the draws are a writable
+        # stack (hyperopt), a read-only broadcast view (policy-eval) or
+        # fedsbo's one-row agent mean.
+        _, _, sched = setup
+        hyper = make_synthetic_hyperopt(3, 60, 4, seed=2)
+        pe = make_policy_eval(3, 10, 3, gamma=0.5, lam=1.0, seed=4)
+        t = 2
+        cases = []
+        for p in (hyper, pe):
+            state = _desynchronized(init_agents(p, 3), np.random.default_rng(1))
+            draws = p.sample(range(3), state.x, state.y,
+                             agent_round_streams(0, "oracle", 3, t), 3)
+            cases.append((state, build_ring(3).weights, draws, p.constants.l_g))
+        assert cases[0][2].hyy_g_draws.flags.writeable
+        assert not cases[1][2].hyy_g_draws.flags.writeable
+        central = _desynchronized(init_central(hyper, 3), np.random.default_rng(2))
+        agent_draws = hyper.sample(range(3), np.repeat(central.x, 3, axis=0),
+                                   np.repeat(central.y, 3, axis=0),
+                                   agent_round_streams(0, "oracle", 3, t), 3)
+        mean = StochasticSample(**{name: np.mean(field, axis=0)[None]
+                                   for name, field in vars(agent_draws).items()})
+        cases.append((central, np.ones((1, 1)), mean, hyper.constants.l_g))
+
+        for state, mix, draws, l_g in cases:
+            before = {f: getattr(state, f).copy() for f in STATE_FIELDS}
+            drawn = {name: field.copy() for name, field in vars(draws).items()}
+            new = round_step(state, mix, draws, sched, t, l_g)
+            assert not np.shares_memory(new.v, state.v)
+            for f, old in before.items():
+                assert np.array_equal(getattr(state, f), old), f
+            for name, old in drawn.items():
+                assert np.array_equal(getattr(draws, name), old), name
+
+    def test_working_set_is_one_agent_row_over_the_new_state(self):
+        # At K=5, b=200, d_y=10 the v stack dominates.  Past the old state
+        # and the draws, a round may hold its new state and one agent row
+        # of v; two full-size v temporaries would be twice v.nbytes.
+        k, b = 5, 200
+        p = make_synthetic_hyperopt(k, 200, 10, seed=11)
+        sched = StepSchedule("capped", alpha_cap=0.01, alpha_num=2.0, beta_cap=0.5,
+                             beta_num=50.0)
+        state = _desynchronized(init_agents(p, b), np.random.default_rng(0))
+        draws = p.sample(range(k), state.x, state.y, agent_round_streams(0, "oracle", k, 1), b)
+        mix = build_ring(k).weights
+        round_step(state, mix, draws, sched, 1, p.constants.l_g)  # warm any lazy set-up
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            new = round_step(state, mix, draws, sched, 1, p.constants.l_g)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        new_bytes = sum(getattr(new, f).nbytes for f in STATE_FIELDS)
+        row_bytes = state.v.nbytes // k
+        assert peak <= 1.1 * (new_bytes + row_bytes), (peak, new_bytes, row_bytes)
 
     def test_deterministic_replay(self, setup):
         p, w, sched = setup

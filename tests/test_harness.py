@@ -183,6 +183,22 @@ class TestTraceSerialization:
         assert [r.t for r in back.records] == [0, 1, 2, 3]
         assert back.header == {"config": {}}
 
+    def test_record_has_slots_not_dict(self, tmp_path):
+        # a long trace holds thousands of records: no per-record __dict__
+        record = rec(3, mse=0.25, samples_zeta=3)
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.mse = 1.0
+        moved = dataclasses.replace(record, mse=0.5)
+        assert (moved.t, moved.mse, record.mse) == (3, 0.5, 0.25)
+        assert dataclasses.asdict(record) == {c: getattr(record, c) for c in TRACE_COLUMNS}
+        trace = Trace(header={"config": {}}, records=[record, moved])
+        path = tmp_path / "t.csv"
+        write_trace(trace, str(path))
+        back = read_trace(str(path))
+        assert back.records == trace.records
+        assert trace_to_csv(back) == trace_to_csv(trace)
+
     def test_read_rejects_missing_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("t,mse\n0,1\n")

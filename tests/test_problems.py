@@ -329,6 +329,48 @@ class TestHyperopt:
         y = prob.exact_lower(x)
         assert np.linalg.norm(prob.exact_gradients(x, y).gy_g) < 1e-10
 
+    def test_newton_carries_the_accepted_trial_gradient(self, monkeypatch):
+        def reference_lower(prob, x):
+            # The damped-Newton loop that recomputed the gradient of the
+            # accepted trial at the top of each iteration.
+            y = np.zeros(prob.d_y)
+            for iters in range(1, 101):
+                grad = prob._full_inner_grad(x, y)
+                gnorm = np.linalg.norm(grad)
+                if gnorm <= 1e-12:
+                    return y, iters
+                step = np.linalg.solve(prob._full_inner_hess(x, y), grad)
+                scale = 1.0
+                for _ in range(40):
+                    trial = y - scale * step
+                    if np.linalg.norm(prob._full_inner_grad(x, trial)) < gnorm:
+                        y = trial
+                        break
+                    scale *= 0.5
+            raise AssertionError("reference solve did not converge")
+
+        prob = make_synthetic_hyperopt(3, 60, 4, seed=5)
+        calls = []
+        grad = prob._full_inner_grad
+
+        def counting_grad(x, y):
+            calls.append(1)
+            return grad(x, y)
+
+        monkeypatch.setattr(prob, "_full_inner_grad", counting_grad)
+        rng = np.random.default_rng(8)
+        for x in (np.zeros(4), np.linspace(-1, 1, 4), 3.0 * rng.standard_normal(4),
+                  np.full(4, -30.0)):
+            calls.clear()
+            expect, iters = reference_lower(prob, x)
+            reference_calls = len(calls)
+            calls.clear()
+            got = prob.exact_lower(x)
+            assert np.array_equal(got, expect)
+            # one evaluation per line-search trial plus the start point,
+            # where the reference paid one more per iteration
+            assert len(calls) == reference_calls - iters + 1
+
     def test_hypergrad_matches_finite_differences(self):
         prob = make_synthetic_hyperopt(2, 30, 3, seed=7)
         rng = np.random.default_rng(4)
