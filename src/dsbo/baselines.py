@@ -46,6 +46,24 @@ def init_central(problem, b: int) -> NetworkState:
     return init_agents(problem, b, k=1)
 
 
+def agent_mean(field: np.ndarray) -> np.ndarray:
+    """Mean over axis 0, summed row by row in agent order into one buffer.
+
+    It has the bits of ``np.mean(np.ascontiguousarray(field), axis=0)``
+    without the contiguous copy, which for a broadcast field (policy-eval's
+    identity Hessian draws) is K identical rows.  numpy sums a field of one
+    element per row pairwise instead; that case is K numbers, so it takes
+    the copying path.
+    """
+    if field[0].size == 1:
+        return np.mean(np.ascontiguousarray(field), axis=0)
+    acc = field[0].copy()
+    for row in field[1:]:
+        acc += row
+    acc /= len(field)
+    return acc
+
+
 def fedsbo_round(
     central: NetworkState,
     problem,
@@ -55,10 +73,9 @@ def fedsbo_round(
 ) -> NetworkState:
     """One coordinator round: sample at the common iterate, average, update.
 
-    The reduction over agents is a fixed-order numpy mean over a C-ordered
-    copy of each (K, ...) field, so results are reproducible (a broadcast
-    field would otherwise be reduced in another order), and with one agent
-    the averaged draw is the agent's own.
+    The reduction over agents is ``agent_mean`` of each (K, ...) field, so
+    results are reproducible and with one agent the averaged draw is the
+    agent's own.
     """
     k = problem.k
     draws = problem.sample(
@@ -69,8 +86,7 @@ def fedsbo_round(
         central.v.shape[1],
     )
     mean = StochasticSample(**{
-        name: np.mean(np.ascontiguousarray(field), axis=0)[None]
-        for name, field in vars(draws).items()
+        name: agent_mean(field)[None] for name, field in vars(draws).items()
     })
     return round_step(central, _SELF_MIX, mean, schedule, t, problem.constants.l_g)
 

@@ -245,22 +245,22 @@ def cmd_plotdata(args) -> int:
             raise _Usage(f"trace file not found: {path}")
         traces.append((os.path.splitext(os.path.basename(path))[0], read_trace(path)))
 
-    grids = [tuple(r.t for r in trace.records) for _, trace in traces]
-    common = set(grids[0])
-    for grid in grids[1:]:
-        common &= set(grid)
+    grids = [set(trace.records.rows["t"].tolist()) for _, trace in traces]
+    common = set.intersection(*grids)
     if not common:
         raise _Usage("traces share no common recorded rounds")
-    if any(set(grid) != common for grid in grids):
+    if any(grid != common for grid in grids):
         warnings.warn("traces have mismatched cadences; resampled to the coarsest common grid")
     ts = sorted(common)
 
     values = {}  # (t, field) -> list aligned with traces
     for run_id, trace in traces:
-        by_t = {r.t: r for r in trace.records}
+        rows = trace.records.rows
+        by_t = {t: i for i, t in enumerate(rows["t"].tolist())}
+        columns = {field: rows[field].tolist() for field in fields}
         for t in ts:
             for field in fields:
-                values.setdefault((t, field), []).append(getattr(by_t[t], field))
+                values.setdefault((t, field), []).append(columns[field][by_t[t]])
 
     out = _out_dir(args, default=".")
     path = os.path.join(out, "plotdata.csv")

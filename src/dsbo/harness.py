@@ -3,8 +3,9 @@
 A run is fully described by a :class:`RunConfig`.  ``run`` executes the
 selected algorithm for ``t_total`` rounds and returns a :class:`Trace`:
 a JSON-able header (the resolved config plus reference values such as
-x*, F*, and the mixing-matrix contraction factor) and a list of
-:class:`TraceRecord` rows sampled at the metric cadence.
+x*, F*, and the mixing-matrix contraction factor) and one row per round
+sampled at the metric cadence, stored as a ``TRACE_DTYPE`` array and read
+through :class:`TraceRecords`.
 
 The gossip algorithm and its federated variant share one loop: a
 :class:`~dsbo.core.NetworkState` advanced by ``dsbo_round`` or
@@ -21,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,6 +247,11 @@ TRACE_COLUMNS = (
 
 _INT_COLUMNS = {"t", "samples_zeta", "samples_xi"}
 
+# One trace row: 12 values in 96 bytes.
+TRACE_DTYPE = np.dtype([
+    (name, np.int64 if name in _INT_COLUMNS else np.float64) for name in TRACE_COLUMNS
+])
+
 
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
@@ -268,28 +275,79 @@ class TraceRecord:
     samples_xi: int
 
 
+class TraceRecords(Sequence):
+    """Read-only sequence view of a trace's rows (a ``TRACE_DTYPE`` array).
+
+    An int index builds one :class:`TraceRecord`; a slice returns a list of
+    them; iteration builds one record at a time.  ``==`` compares the rows
+    with another view or with a sequence of records.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        if isinstance(rows, np.ndarray):
+            if rows.dtype != TRACE_DTYPE or rows.ndim != 1:
+                raise ValueError(f"trace rows must be a 1-D {TRACE_DTYPE} array")
+            rows = rows.view()
+        else:
+            rows = np.array(
+                [tuple(getattr(r, name) for name in TRACE_COLUMNS) for r in rows],
+                dtype=TRACE_DTYPE,
+            )
+        rows.flags.writeable = False
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [TraceRecord(*row) for row in self.rows[index].tolist()]
+        return TraceRecord(*self.rows[index].item())
+
+    def __iter__(self):
+        for row in self.rows:
+            yield TraceRecord(*row.item())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple)):
+            other = TraceRecords(other)
+        if not isinstance(other, TraceRecords):
+            return NotImplemented
+        return np.array_equal(self.rows, other.rows)
+
+    def __repr__(self) -> str:
+        return f"TraceRecords({len(self)} rows)"
+
+
 @dataclass
 class Trace:
+    """A run's header and its rows, stored as one ``TRACE_DTYPE`` array.
+
+    ``records`` may be given as a list of :class:`TraceRecord` or as a row
+    array; either way it is kept as a :class:`TraceRecords` view.
+    """
+
     header: dict
-    records: list
+    records: TraceRecords
+
+    def __post_init__(self):
+        if not isinstance(self.records, TraceRecords):
+            self.records = TraceRecords(self.records)
 
     def column(self, name: str) -> np.ndarray:
+        """A float copy of one column."""
         if name not in TRACE_COLUMNS:
             raise ConfigError(f"unknown trace field {name!r}")
-        return np.array([getattr(r, name) for r in self.records], dtype=float)
-
-
-def _format_cell(name: str, value) -> str:
-    if name in _INT_COLUMNS:
-        return str(int(value))
-    return repr(float(value))
+        return self.records.rows[name].astype(float)
 
 
 def trace_to_csv(trace: Trace) -> str:
+    # str() of a Python int or float is the repr the format uses
     lines = ["# " + json.dumps(trace.header, sort_keys=True, separators=(",", ":"))]
     lines.append(",".join(TRACE_COLUMNS))
-    for rec in trace.records:
-        lines.append(",".join(_format_cell(c, getattr(rec, c)) for c in TRACE_COLUMNS))
+    lines.extend(",".join(map(str, row)) for row in trace.records.rows.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -310,7 +368,8 @@ def read_trace(path: str) -> Trace:
         columns = fh.readline().strip().split(",")
         if tuple(columns) != TRACE_COLUMNS:
             raise ConfigError(f"{path}: unexpected column set {columns}")
-        records = []
+        parsers = [int if name in _INT_COLUMNS else float for name in TRACE_COLUMNS]
+        rows = []
         for lineno, line in enumerate(fh, start=3):
             if not line.strip():
                 continue
@@ -319,20 +378,26 @@ def read_trace(path: str) -> Trace:
                 raise ConfigError(
                     f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} cells, got {len(cells)}"
                 )
-            kwargs = {}
-            for name, cell in zip(TRACE_COLUMNS, cells):
+            row = []
+            for name, parse, cell in zip(TRACE_COLUMNS, parsers, cells):
                 try:
-                    kwargs[name] = int(cell) if name in _INT_COLUMNS else float(cell)
+                    row.append(parse(cell))
                 except ValueError:
                     raise ConfigError(
                         f"{path}:{lineno}: column {name!r} holds {cell!r}, not a number"
                     ) from None
-            records.append(TraceRecord(**kwargs))
-    return Trace(header=header, records=records)
+            rows.append(tuple(row))
+    return Trace(header=header, records=np.array(rows, dtype=TRACE_DTYPE))
 
 
 class Recorder:
-    """Builds TraceRecords from raw iterate stacks at the metric cadence.
+    """Writes one trace row per recorded round from raw iterate stacks.
+
+    Rows go into one preallocated ``TRACE_DTYPE`` array sized for the
+    rounds that ``cadence`` and ``t_total`` select (round 0, every
+    ``cadence``-th round, and ``t_total``); a caller that records more
+    rows than that makes it grow.  ``records`` is a read-only view of the
+    rows written so far.
 
     ``est``, when given, is a state with (K, ...) estimator stacks s, h, u
     and v (a :class:`~dsbo.core.NetworkState`); without it the estimator
@@ -345,7 +410,13 @@ class Recorder:
         self.t_total = t_total
         self.x_star = np.asarray(x_star, dtype=float)
         self.f_star = float(f_star)
-        self.records: list[TraceRecord] = []
+        n_rows = t_total // cadence + 1 + (t_total % cadence != 0)
+        self._rows = np.empty(n_rows, dtype=TRACE_DTYPE)
+        self._n = 0
+
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self._rows[: self._n])
 
     def record(self, t: int, xs, ys, samples_zeta: int, samples_xi: int, est=None):
         if t % self.cadence != 0 and t != self.t_total:
@@ -358,30 +429,30 @@ class Recorder:
         exact = self.problem.exact_gradients(xbar, y_star)
         grad = self.problem.implicit_hypergrad(exact)
         diff = xbar - self.x_star
-        errs = {"s": 0.0, "h": 0.0, "u": 0.0, "v": 0.0}
+        errs = (0.0, 0.0, 0.0, 0.0)
         if est is not None:
-            errs["s"] = float(((est.s.mean(axis=0) - exact.gx_f) ** 2).sum())
-            errs["h"] = float(((est.h.mean(axis=0) - exact.gy_f) ** 2).sum())
-            errs["u"] = float(((est.u.mean(axis=0) - exact.hxy_g) ** 2).sum())
-            errs["v"] = float(((est.v.mean(axis=(0, 1)) - exact.hyy_g) ** 2).sum())
-        self.records.append(
-            TraceRecord(
-                t=t,
-                grad_norm_sq=float(grad @ grad),
-                subopt=float(self.problem.outer_value(xbar, y_star) - self.f_star),
-                mse=float(diff @ diff),
-                consensus_x=float(((xs - xbar) ** 2).sum()),
-                consensus_y=float(((ys - ybar) ** 2).sum()),
-                est_err_s=errs["s"],
-                est_err_h=errs["h"],
-                est_err_u=errs["u"],
-                est_err_v=errs["v"],
-                samples_zeta=samples_zeta,
-                samples_xi=samples_xi,
+            errs = (
+                ((est.s.mean(axis=0) - exact.gx_f) ** 2).sum(),
+                ((est.h.mean(axis=0) - exact.gy_f) ** 2).sum(),
+                ((est.u.mean(axis=0) - exact.hxy_g) ** 2).sum(),
+                ((est.v.mean(axis=(0, 1)) - exact.hyy_g) ** 2).sum(),
             )
+        if self._n == len(self._rows):
+            self._rows = np.concatenate((self._rows, np.empty_like(self._rows)))
+        self._rows[self._n] = (
+            t,
+            grad @ grad,
+            self.problem.outer_value(xbar, y_star) - self.f_star,
+            diff @ diff,
+            ((xs - xbar) ** 2).sum(),
+            ((ys - ybar) ** 2).sum(),
+            *errs,
+            samples_zeta,
+            samples_xi,
         )
+        self._n += 1
 
-    def finish(self) -> list:
+    def finish(self) -> TraceRecords:
         return self.records
 
 
@@ -590,7 +661,7 @@ def run(config: RunConfig) -> Trace:
                 config.seed, recorder,
             )
     except DivergenceError as err:
-        err.trace = Trace(header=header, records=list(recorder.records))
+        err.trace = Trace(header=header, records=recorder.records)
         raise
     return Trace(header=header, records=recorder.records)
 
@@ -599,22 +670,31 @@ def run(config: RunConfig) -> Trace:
 # Analyses
 
 
+def _rows(trace) -> np.ndarray:
+    """The row array of a Trace, a TraceRecords view, or a list of records."""
+    if isinstance(trace, Trace):
+        return trace.records.rows
+    if isinstance(trace, TraceRecords):
+        return trace.rows
+    return TraceRecords(list(trace)).rows
+
+
 def mean_grad_norm(trace) -> float:
     """Arithmetic mean of grad_norm_sq over the recorded rounds.
 
     Requires a cadence-1 trace (consecutive round indices): the averaged
     statistic is only meaningful when every round is present.
     """
-    records = trace.records if isinstance(trace, Trace) else list(trace)
-    if not records:
+    rows = _rows(trace)
+    if not len(rows):
         raise ConfigError("mean_grad_norm needs a nonempty trace")
-    ts = [r.t for r in records]
-    if any(b - a != 1 for a, b in zip(ts, ts[1:])):
+    gaps = np.diff(rows["t"])
+    if (gaps != 1).any():
         raise ConfigError(
             "mean_grad_norm needs a cadence-1 trace (every round recorded); "
-            f"got round gaps {sorted({b - a for a, b in zip(ts, ts[1:])})}"
+            f"got round gaps {sorted(set(gaps.tolist()))}"
         )
-    return float(np.mean([r.grad_norm_sq for r in records]))
+    return float(rows["grad_norm_sq"].mean())
 
 
 def loglog_slope(trace, field: str, window: float = 0.1) -> float:
@@ -623,31 +703,28 @@ def loglog_slope(trace, field: str, window: float = 0.1) -> float:
     ``window`` is the tail fraction: the fit uses records with
     t >= window * t_max (the default keeps the last decade).
     """
-    records = trace.records if isinstance(trace, Trace) else list(trace)
-    pts = [(r.t, getattr(r, field)) for r in records if r.t > 0]
-    if not pts:
+    rows = _rows(trace)
+    rows = rows[rows["t"] > 0]
+    if not len(rows):
         raise ConfigError("loglog_slope needs records at positive rounds")
-    t_max = pts[-1][0]
-    tail = [(t, v) for t, v in pts if t >= window * t_max]
+    tail = rows[rows["t"] >= window * rows["t"][-1]]
     if len(tail) < 2:
         raise ConfigError(f"loglog_slope needs >= 2 records in the tail window, got {len(tail)}")
-    values = np.array([v for _, v in tail], dtype=float)
+    values = tail[field].astype(float)
     if (values <= 0).any():
         raise NumericsError(
             f"loglog_slope: field {field!r} has nonpositive values in the tail window"
         )
-    ts = np.log(np.array([t for t, _ in tail], dtype=float))
+    ts = np.log(tail["t"].astype(float))
     return float(np.polyfit(ts, np.log(values), 1)[0])
 
 
 def samples_to_eps(trace, eps: float):
     """Per-agent inner-draw count at the first recorded round with mse <= eps,
     or None when the trace never reaches eps (censored)."""
-    records = trace.records if isinstance(trace, Trace) else list(trace)
-    for rec in records:
-        if rec.mse <= eps:
-            return rec.samples_xi
-    return None
+    rows = _rows(trace)
+    reached = np.flatnonzero(rows["mse"] <= eps)
+    return int(rows["samples_xi"][reached[0]]) if len(reached) else None
 
 
 def samples_to_eps_table(traces_by_k, eps: float) -> list[dict]:

@@ -1,9 +1,13 @@
 """Coordinator variant and double-loop baselines."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from dsbo import (
     DivergenceError,
@@ -22,6 +26,7 @@ from dsbo import (
     make_quadratic,
     sgd_eta,
 )
+from dsbo.baselines import agent_mean
 
 STATE_FIELDS = ("x", "y", "s", "h", "u", "v", "q")
 
@@ -122,6 +127,45 @@ class TestFedSbo:
         # alpha ~ 1e-12 freezes x, so the target is static and the recursion exact
         assert errs[1] == pytest.approx((1 - beta) * errs[0], rel=1e-9)
         assert errs[2] == pytest.approx((1 - beta) ** 2 * errs[0], rel=1e-9)
+
+    @given(k=hst.integers(1, 20),
+           tail=hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=4),
+           broadcast=hst.booleans(), data=hst.data())
+    @settings(max_examples=120, deadline=None)
+    def test_agent_mean_has_the_bits_of_numpy_mean(self, k, tail, broadcast, data):
+        floats = hst.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+        if broadcast:
+            row = data.draw(hnp.arrays(np.float64, tail, elements=floats))
+            field = np.broadcast_to(row, (k, *tail))
+        else:
+            field = data.draw(hnp.arrays(np.float64, (k, *tail), elements=floats))
+        expected = np.mean(np.ascontiguousarray(field), axis=0)
+        got = agent_mean(field)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_round_holds_no_per_agent_copies(self):
+        # policy-eval's Hessian draws are one broadcast identity.  Past its
+        # live set a round holds three v-rows: the mean's accumulator, the
+        # new v, and round_step's scaled draw row; the small fields add
+        # under 0.1 row.  Copying every field's K rows peaked at 6 rows.
+        k, b = 5, 50
+        p = make_policy_eval(k, 50, 5, gamma=0.5, lam=1.0, seed=7)
+        sched = StepSchedule("capped", alpha_cap=0.01, alpha_num=2.0, beta_cap=0.5,
+                             beta_num=50.0)
+        central = init_central(p, b)
+        central = fedsbo_round(central, p, sched, 0, agent_round_streams(0, "oracle", k, 0))
+        streams = agent_round_streams(0, "oracle", k, 1)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            fedsbo_round(central, p, sched, 1, streams)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        row_bytes = central.v.nbytes
+        assert row_bytes == 1_000_000
+        assert peak <= 3.1 * row_bytes, (peak, row_bytes)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_detection(self):

@@ -2,12 +2,16 @@
 
 import copy
 import dataclasses
+import gc
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from dsbo import (
     ConfigError,
@@ -16,6 +20,7 @@ from dsbo import (
     ProblemConfig,
     RunConfig,
     ScheduleConfig,
+    Recorder,
     TopologyConfig,
     Trace,
     TraceRecord,
@@ -23,6 +28,7 @@ from dsbo import (
     build_problem,
     load_config,
     loglog_slope,
+    make_quadratic,
     make_schedule,
     mean_grad_norm,
     read_trace,
@@ -32,7 +38,7 @@ from dsbo import (
     trace_to_csv,
     write_trace,
 )
-from dsbo.harness import default_cadence, resolve_reference
+from dsbo.harness import TRACE_DTYPE, default_cadence, resolve_reference
 
 
 def rec(t, **kw):
@@ -229,6 +235,96 @@ class TestTraceSerialization:
         assert trace.column("mse").tolist() == [2.0, 4.0]
         with pytest.raises(ConfigError, match="unknown trace field"):
             trace.column("loss")
+
+
+_QUAD = make_quadratic(2, 2, 2, seed=3)
+
+
+class TestTraceStore:
+    def test_row_takes_96_bytes(self):
+        assert TRACE_DTYPE.names == TRACE_COLUMNS
+        assert TRACE_DTYPE.itemsize == 96
+        for name in TRACE_COLUMNS:
+            kind = "i" if name in ("t", "samples_zeta", "samples_xi") else "f"
+            assert TRACE_DTYPE[name].kind == kind
+
+    @given(t_total=hst.integers(1, 60), cadence=hst.integers(1, 15))
+    @settings(max_examples=60, deadline=None)
+    def test_recorder_rows_match_recorded_rounds(self, t_total, cadence):
+        recorder = Recorder(_QUAD, cadence, t_total, np.zeros(2), 0.0)
+        xs = np.zeros((2, 2))
+        for t in range(t_total + 1):
+            recorder.record(t, xs, xs, t, 2 * t)
+        expected = [t for t in range(t_total + 1) if t % cadence == 0 or t == t_total]
+        rows = recorder.records.rows
+        assert rows["t"].tolist() == expected
+        assert rows["samples_xi"].tolist() == [2 * t for t in expected]
+        assert rows["t"][-1] == t_total
+        assert len(recorder._rows) == len(expected)  # preallocated exactly
+
+    def test_recorder_grows_past_its_preallocation(self):
+        recorder = Recorder(_QUAD, 1, 2, np.zeros(2), 0.0)
+        xs = np.zeros((2, 2))
+        for t in range(10):
+            recorder.record(t, xs, xs, t, t)
+        assert [r.t for r in recorder.records] == list(range(10))
+
+    def test_records_sequence_semantics(self):
+        trace = Trace(header={}, records=[rec(t, mse=1.0 / (t + 1)) for t in range(5)])
+        records = trace.records
+        assert len(records) == 5
+        assert records[-1] == rec(4, mse=0.2)
+        assert isinstance(records[1:3], list) and [r.t for r in records[1:3]] == [1, 2]
+        assert [r.t for r in records] == list(range(5))
+        assert records == [rec(t, mse=1.0 / (t + 1)) for t in range(5)]
+        assert records != records[:-1]
+        with pytest.raises(IndexError):
+            records[5]
+        with pytest.raises(ValueError):
+            records.rows["mse"][0] = 0.0  # the rows are read-only
+        cell = records[0]
+        assert type(cell.t) is int and type(cell.mse) is float
+
+    def test_list_edits_convert_back_to_rows(self):
+        # the idiom of replacing one record in a copy of the list
+        trace = Trace(header={}, records=[rec(t, mse=1.0) for t in range(4)])
+        rising = dataclasses.replace(trace.records[-1], mse=2.0)
+        edited = Trace(trace.header, trace.records[:-1] + [rising])
+        assert edited.records.rows.dtype == TRACE_DTYPE
+        assert edited.column("mse").tolist() == [1.0, 1.0, 1.0, 2.0]
+        assert trace.column("mse").tolist() == [1.0] * 4
+        assert edited != trace
+        assert Trace(trace.header, list(trace.records)) == trace
+
+    def test_read_then_write_gives_the_same_bytes(self, tmp_path):
+        trace = run(quad_config(t_total=30, cadence=4))
+        path = tmp_path / "t.csv"
+        write_trace(trace, str(path))
+        back = read_trace(str(path))
+        assert back.records == trace.records
+        assert trace_to_csv(back).encode() == path.read_bytes()
+
+    def test_long_trace_holds_96_bytes_a_record(self):
+        # policy-eval fedsbo, 2,001 records: 96 B each is 192 KB, where a
+        # list of TraceRecord objects held about 0.85 MiB
+        cfg = quad_config(
+            algorithm="fedsbo", t_total=2000, b=1,
+            problem=ProblemConfig(family="policy-eval", n_states=10, feat_dim=3, seed=7),
+            topology=TopologyConfig(kind="ring", k=5),
+        )
+        tracemalloc.start()
+        try:
+            trace = run(cfg)
+            gc.collect()
+            with_trace = tracemalloc.get_traced_memory()[0]
+            n_records = len(trace.records)
+            del trace
+            gc.collect()
+            held = with_trace - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert n_records == 2001
+        assert held <= 250_000, held
 
 
 class TestAnalyses:
