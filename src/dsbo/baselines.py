@@ -21,6 +21,8 @@ They mix with ``topology.gossip_mix`` and check iterates with
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (
@@ -51,15 +53,19 @@ def agent_mean(field: np.ndarray) -> np.ndarray:
 
     It has the bits of ``np.mean(np.ascontiguousarray(field), axis=0)``
     without the contiguous copy, which for a broadcast field (policy-eval's
-    identity Hessian draws) is K identical rows.  numpy sums a field of one
-    element per row pairwise instead; that case is K numbers, so it takes
-    the copying path.
+    identity Hessian draws) is K identical rows.  The rows are walked with
+    an iterator, so a :class:`~dsbo.problems.base.DeferredRows` field
+    (hyperopt's Hessian draws) is built one row at a time.  numpy sums a
+    field of one element per row pairwise instead; that case is K numbers,
+    so it takes the copying path.
     """
-    if field[0].size == 1:
+    if math.prod(field.shape[1:]) == 1:
         return np.mean(np.ascontiguousarray(field), axis=0)
-    acc = field[0].copy()
-    for row in field[1:]:
+    rows = iter(field)
+    acc = np.array(next(rows))
+    for row in rows:
         acc += row
+        del row  # a deferred row is freed before the next one is built
     acc /= len(field)
     return acc
 

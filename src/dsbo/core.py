@@ -30,7 +30,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .problems.base import StochasticSample, matvec
+from .problems.base import DeferredRows, StochasticSample, matvec
 from .topology import MixingMatrix, gossip_mix
 
 _FIELDS = ("x", "y", "s", "h", "u", "v", "q")
@@ -236,10 +236,24 @@ def round_step(state: NetworkState, mix, draws: StochasticSample, schedule: Step
     # The v stack is the round's largest array: refresh the fresh mixed
     # buffer in place, one agent row of draws at a time, so the only
     # temporary is one row.  Same products and sum as the other fields.
+    # A deferred row is built fresh for this read and scaled in place; an
+    # array row belongs to the caller and is scaled into a temporary.
+    # Index the draws by row and drop each before the next is built (a
+    # ``zip`` over the draws would keep the previous one alive meanwhile).
     v = gossip_mix(state.v, mix)
     v *= 1.0 - beta
-    for row, draw in zip(v, draws.hyy_g_draws, strict=True):
-        row += beta * draw
+    hyy = draws.hyy_g_draws
+    if len(hyy) != len(v):
+        raise ValueError(f"{len(hyy)} rows of Hessian draws for {len(v)} agents")
+    deferred = isinstance(hyy, DeferredRows)
+    for k, row in enumerate(v):
+        draw = hyy[k]
+        if deferred:
+            draw *= beta
+        else:
+            draw = beta * draw
+        row += draw
+        del draw
     new = NetworkState(x=x, y=y, s=s, h=h, u=u, v=v, q=neumann_apply(v, h, l_g))
     check_finite(((name, getattr(new, name)) for name in _FIELDS), t)
     return new

@@ -2,6 +2,7 @@
 
 from .base import (
     BilevelProblem,
+    DeferredRows,
     ExactGradients,
     ProblemConstants,
     StochasticSample,
@@ -21,6 +22,7 @@ from .quadratic import QuadraticBilevel, make_quadratic
 
 __all__ = [
     "BilevelProblem",
+    "DeferredRows",
     "ExactGradients",
     "HyperoptBilevel",
     "PolicyEvalBilevel",

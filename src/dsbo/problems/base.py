@@ -10,6 +10,8 @@ consumes.  Exact evaluators exist only for metrics and tests.
 from __future__ import annotations
 
 import abc
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +58,46 @@ class ProblemConstants:
             )
 
 
+class DeferredRows:
+    """A read-only (R, ...) stack whose rows are built when read.
+
+    ``build(r)`` returns row r as a fresh array of shape ``shape[1:]``;
+    everything random about the row is fixed before the sequence is made,
+    so a row reads the same whenever and however often it is built.  An
+    int index builds one row, iteration builds them one at a time, and
+    any other index or ``np.asarray`` stacks them all.  Nothing is cached:
+    a reader that folds row by row holds one row at a time, and may write
+    the row it was handed.
+    """
+
+    def __init__(self, shape: tuple, build: Callable[[int], np.ndarray]):
+        self.shape = tuple(shape)
+        self._build = build
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            r = operator.index(index)
+            if not -len(self) <= r < len(self):
+                raise IndexError(f"row {r} out of range for {len(self)} rows")
+            return self._build(r % len(self))
+        return np.asarray(self)[index]
+
+    def __iter__(self):
+        for r in range(len(self)):
+            yield self._build(r)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("deferred rows are built on demand; stacking them copies")
+        out = np.empty(self.shape)
+        for r in range(len(self)):
+            out[r] = self._build(r)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
 @dataclass(frozen=True)
 class StochasticSample:
     """Oracle draws stacked over rows: outer gradients, inner gradient,
@@ -63,14 +105,18 @@ class StochasticSample:
 
     Row r of every field belongs to one draw.  ``hyy_g_draws[r]`` stacks
     b independent inner-Hessian draws, each symmetric and inside the
-    declared spectral ball.
+    declared spectral ball.  It is the largest field, b times the size of
+    the others, so a family may return it as :class:`DeferredRows`: the
+    randomness is drawn with the rest of the sample, and each (b, d_y,
+    d_y) row is expanded only when a reader asks for it.  Readers index it
+    by row, iterate it or call ``np.asarray``; they never write it.
     """
 
     gx_f: np.ndarray
     gy_f: np.ndarray
     gy_g: np.ndarray
     hxy_g: np.ndarray
-    hyy_g_draws: np.ndarray
+    hyy_g_draws: np.ndarray | DeferredRows
 
 
 class ExactGradients(NamedTuple):
@@ -108,10 +154,12 @@ class BilevelProblem(abc.ABC):
 
         Row r is agent ``agents[r]``'s draw at ``(xs[r], ys[r])``, made
         from ``rngs[r]`` alone; every field of the result has a leading
-        axis of length R (``hyy_g_draws`` is (R, b, d_y, d_y)).  Rows
-        consume their generators in row order, each making all of its
-        calls before the next row starts, so passing one generator for
-        every row reproduces R consecutive one-row calls.
+        axis of length R (``hyy_g_draws`` is (R, b, d_y, d_y), an array or
+        :class:`DeferredRows`).  Rows consume their generators in row
+        order, each making all of its calls before the next row starts,
+        so passing one generator for every row reproduces R consecutive
+        one-row calls.  Every generator call happens inside ``sample``:
+        expanding a deferred row later draws nothing.
         """
 
     @abc.abstractmethod

@@ -20,6 +20,7 @@ from scipy.special import expit
 from ..errors import ConfigError, NumericsError
 from .base import (
     BilevelProblem,
+    DeferredRows,
     ExactGradients,
     ProblemConstants,
     StochasticSample,
@@ -143,18 +144,32 @@ class HyperoptBilevel(BilevelProblem):
         hxy = np.zeros((rows, dim, dim))
         hxy[:, diag, diag] = sigmoid(xs) * ys
 
-        wh = self._train_w[h_idx]  # (rows, b, mb, dim)
-        curv = sigmoid(matvec(wh, ys[:, None]))
-        curv = curv * (1.0 - curv)
-        hyy = np.einsum("rbm,rbmi,rbmj->rbij", curv, wh, wh) / mb
-        hyy[:, :, diag, diag] += reg[:, None]
+        # The Hessian draws are the only (b, dim, dim)-per-row field, and
+        # their randomness is h_idx alone: fix the indices, curvatures and
+        # clip flags here and expand one row when a reader asks for it.
+        curv = sigmoid(matvec(self._train_w[h_idx], ys[:, None]))  # (rows, b, mb)
+        curv *= 1.0 - curv
         # Cheap spectral bound per row: data term <= max ||w||^2/4 plus the
         # largest regularizer weight; only rows that can exceed the ball clip.
         top_bound = 0.25 * self._train_sq[h_idx].max(axis=(1, 2)) + reg.max(axis=1)
         clip = top_bound > self._spec_hi
-        if np.any(clip):
-            hyy[clip] = clip_spectrum(hyy[clip], self._spec_lo, self._spec_hi)
-        return StochasticSample(gx_f=gx_f, gy_f=gy_f, gy_g=gy_g, hxy_g=hxy, hyy_g_draws=hyy)
+
+        def hess_row(r):
+            wh = self._train_w[h_idx[r]]  # (b, mb, dim)
+            if dim == 1:
+                # For 1 x 1 matrices numpy sums the two-operand form over
+                # the minibatch in another order; keep the three-operand bits.
+                hyy = np.einsum("bm,bmi,bmj->bij", curv[r], wh, wh)
+            else:
+                hyy = np.einsum("bmi,bmj->bij", curv[r, :, :, None] * wh, wh)
+            hyy /= mb
+            hyy[:, diag, diag] += reg[r]
+            if clip[r]:
+                hyy = clip_spectrum(hyy, self._spec_lo, self._spec_hi)
+            return hyy
+
+        return StochasticSample(gx_f=gx_f, gy_f=gy_f, gy_g=gy_g, hxy_g=hxy,
+                                hyy_g_draws=DeferredRows((rows, b, dim, dim), hess_row))
 
     # Full-data quantities: one weighted sum over the pooled rows gives the
     # agent average of per-shard means.

@@ -107,7 +107,7 @@ class QuadraticBilevel(BilevelProblem):
         # (sigma_f > 0), then gy_g, hxy_g and hyy_g noise (sigma_g > 0).
         nx, ny = np.empty((rows, d_x)), np.empty((rows, d_y))
         ng, nh = np.empty((rows, d_y)), np.empty((rows, d_x, d_y))
-        gauss = np.empty((rows, b, d_y, d_y))
+        gauss = np.empty((rows, b, d_y, d_y)) if sg > 0 else None
         for r, rng in enumerate(rngs):
             if sf > 0:
                 nx[r] = bounded_noise(rng, sf, d_x)
@@ -122,10 +122,15 @@ class QuadraticBilevel(BilevelProblem):
         if sg > 0:
             gy_g = gy_g + ng
             hxy = -self._c + nh
-            scale = sg / (2.0 * np.sqrt(d_y))
-            sym = scale * (gauss + gauss.transpose(0, 1, 3, 2)) / np.sqrt(2.0)
+            # Same operations as scale * (g + g^T) / sqrt(2), done in place
+            # so at most two (rows, b, d_y, d_y) stacks are live at once.
+            sym = np.add(gauss, gauss.transpose(0, 1, 3, 2))
+            del gauss
+            sym *= sg / (2.0 * np.sqrt(d_y))
+            sym /= np.sqrt(2.0)
             hyy = self._b + sym
-            fro = np.sqrt((sym * sym).sum(axis=(2, 3)))
+            fro = np.sqrt(np.square(sym, out=sym).sum(axis=(2, 3)))
+            del sym
             unsafe = fro > self._fro_budget
             if np.any(unsafe):
                 hyy[unsafe] = clip_spectrum(hyy[unsafe], self._spec_lo, self._spec_hi)

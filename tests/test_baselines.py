@@ -24,6 +24,7 @@ from dsbo import (
     init_central,
     make_policy_eval,
     make_quadratic,
+    make_synthetic_hyperopt,
     sgd_eta,
 )
 from dsbo.baselines import agent_mean
@@ -166,6 +167,30 @@ class TestFedSbo:
         row_bytes = central.v.nbytes
         assert row_bytes == 1_000_000
         assert peak <= 3.1 * row_bytes, (peak, row_bytes)
+
+    def test_round_over_deferred_rows_holds_few_rows(self):
+        # hyperopt builds each agent's Hessian row when it is read: the
+        # mean walks them one at a time into its accumulator.  Past the
+        # live set a round holds about three v-rows (the accumulator, the
+        # row being built and the new v); expanding every agent's row
+        # first, then copying the stack for np.mean, peaked at 8 rows.
+        k, b = 5, 200
+        p = make_synthetic_hyperopt(k, 200, 10, seed=11)
+        sched = StepSchedule("capped", alpha_cap=0.01, alpha_num=2.0, beta_cap=0.5,
+                             beta_num=50.0)
+        central = init_central(p, b)
+        central = fedsbo_round(central, p, sched, 0, agent_round_streams(0, "oracle", k, 0))
+        streams = agent_round_streams(0, "oracle", k, 1)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            fedsbo_round(central, p, sched, 1, streams)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        row_bytes = central.v.nbytes
+        assert row_bytes == b * 10 * 10 * 8
+        assert peak <= 4 * row_bytes, (peak, row_bytes)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_detection(self):

@@ -29,6 +29,7 @@ from dsbo import (
     neumann_chain,
     round_step,
 )
+from dsbo.problems import DeferredRows
 
 # Frozen from an independent scalar recursion Q_i = 1 + (1 - mu/L) Q_{i-1}:
 # mu = 0.5, L = 1, ten terms -> 2 - 2**-10, matching the closed form
@@ -388,9 +389,9 @@ class TestDsboRound:
 
     def test_inputs_left_untouched(self, setup):
         # round_step refreshes v in a buffer of its own: neither the state
-        # nor the draws may be written, whether the draws are a writable
-        # stack (hyperopt), a read-only broadcast view (policy-eval) or
-        # fedsbo's one-row agent mean.
+        # nor the draws may be written, whether the draws are rows built on
+        # read (hyperopt), a read-only broadcast view (policy-eval) or
+        # fedsbo's one-row agent mean.  A built row is the reader's own.
         _, _, sched = setup
         hyper = make_synthetic_hyperopt(3, 60, 4, seed=2)
         pe = make_policy_eval(3, 10, 3, gamma=0.5, lam=1.0, seed=4)
@@ -401,7 +402,13 @@ class TestDsboRound:
             draws = p.sample(range(3), state.x, state.y,
                              agent_round_streams(0, "oracle", 3, t), 3)
             cases.append((state, build_ring(3).weights, draws, p.constants.l_g))
-        assert cases[0][2].hyy_g_draws.flags.writeable
+        deferred = cases[0][2].hyy_g_draws
+        assert isinstance(deferred, DeferredRows)
+        with pytest.raises(TypeError):
+            deferred[0] = np.zeros(deferred.shape[1:])
+        first, again = deferred[0], deferred[0]
+        assert first.flags.writeable and first.flags.owndata
+        assert not np.shares_memory(first, again)
         assert not cases[1][2].hyy_g_draws.flags.writeable
         central = _desynchronized(init_central(hyper, 3), np.random.default_rng(2))
         agent_draws = hyper.sample(range(3), np.repeat(central.x, 3, axis=0),
@@ -413,7 +420,7 @@ class TestDsboRound:
 
         for state, mix, draws, l_g in cases:
             before = {f: getattr(state, f).copy() for f in STATE_FIELDS}
-            drawn = {name: field.copy() for name, field in vars(draws).items()}
+            drawn = {name: np.array(field) for name, field in vars(draws).items()}
             new = round_step(state, mix, draws, sched, t, l_g)
             assert not np.shares_memory(new.v, state.v)
             for f, old in before.items():

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -325,6 +326,37 @@ class TestTraceStore:
             tracemalloc.stop()
         assert n_records == 2001
         assert held <= 250_000, held
+
+    @given(k=hst.integers(1, 20), b=hst.integers(1, 4), seed=hst.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_recorded_means_match_numpy_mean(self, k, b, seed):
+        # the recorder takes means as np.add.reduce / n; every cell must
+        # have the bits of the same record computed with np.mean
+        problem = make_quadratic(k, 3, 2, seed=3)
+        rng = np.random.default_rng(seed)
+        xs, ys = rng.standard_normal((k, 3)) * 1e3, rng.standard_normal((k, 2))
+        est = SimpleNamespace(s=rng.standard_normal((k, 3)), h=rng.standard_normal((k, 2)),
+                              u=rng.standard_normal((k, 3, 2)),
+                              v=rng.standard_normal((k, b, 2, 2)))
+        x_star = rng.standard_normal(3)
+        recorder = Recorder(problem, 1, 1, x_star, 0.25)
+        recorder.record(1, xs, ys, 7, 9, est=est)
+
+        xbar, ybar = np.mean(xs, axis=0), np.mean(ys, axis=0)
+        y_star = problem.exact_lower(xbar)
+        exact = problem.exact_gradients(xbar, y_star)
+        grad = problem.implicit_hypergrad(exact)
+        want = np.array([(
+            1, grad @ grad, problem.outer_value(xbar, y_star) - 0.25,
+            (xbar - x_star) @ (xbar - x_star),
+            ((xs - xbar) ** 2).sum(), ((ys - ybar) ** 2).sum(),
+            ((np.mean(est.s, axis=0) - exact.gx_f) ** 2).sum(),
+            ((np.mean(est.h, axis=0) - exact.gy_f) ** 2).sum(),
+            ((np.mean(est.u, axis=0) - exact.hxy_g) ** 2).sum(),
+            ((np.mean(est.v, axis=(0, 1)) - exact.hyy_g) ** 2).sum(),
+            7, 9,
+        )], dtype=TRACE_DTYPE)
+        assert recorder.records.rows.tobytes() == want.tobytes()
 
 
 class TestAnalyses:

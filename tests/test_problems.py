@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from dsbo import (
     train_val_split,
 )
 from dsbo.harness import resolve_reference
-from dsbo.problems.base import clip_spectrum
+from dsbo.problems import DeferredRows
+from dsbo.problems.base import clip_spectrum, matvec
 from dsbo.problems.hyperopt import logistic_grad, logistic_loss, sigmoid, softplus
 
 
@@ -92,6 +94,28 @@ class TestQuadraticScalarExample:
 
 
 class TestQuadraticFamily:
+    def test_hessian_noise_holds_two_stacks(self):
+        # the symmetrized noise is built in place over the Gaussian draw:
+        # past the live set a sample holds at most the draw and the
+        # returned Hessian stack at once (plus the small fields); out of
+        # place it peaked at four stacks
+        k, b, d = 10, 90, 10
+        p = make_quadratic(k, 4, d, seed=2)
+        rng = np.random.default_rng(0)
+        xs, ys = rng.standard_normal((k, 4)), rng.standard_normal((k, d))
+        p.sample(range(k), xs, ys, [stream(0, "warm", r) for r in range(k)], b)
+        rngs = [stream(0, "noise", r) for r in range(k)]
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            out = p.sample(range(k), xs, ys, rngs, b)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        stack = out.hyy_g_draws.nbytes
+        assert stack == k * b * d * d * 8
+        assert peak <= 2.2 * stack, (peak, stack)
+
     def test_lower_matches_solve(self):
         p = make_quadratic(4, 6, 5, seed=2)
         rng = np.random.default_rng(0)
@@ -592,15 +616,15 @@ class TestOracleMoments:
         self.run_moment_check(make_synthetic_hyperopt(2, 24, 3, seed=23))
 
 
-def _unequal_hyperopt():
-    """Four agents with unequal (train, validation) shards and minibatch 3."""
+def _unequal_hyperopt(minibatch=3, dim=4):
+    """Four agents with unequal (train, validation) shards."""
     rng = np.random.default_rng(5)
     datasets = [
-        tuple((rng.standard_normal((n, 4)), (rng.random(n) < 0.5).astype(float))
+        tuple((rng.standard_normal((n, dim)), (rng.random(n) < 0.5).astype(float))
               for n in sizes)
         for sizes in ((3, 4), (7, 2), (5, 6), (1, 3))
     ]
-    return make_hyperopt(4, datasets, reg_floor=0.01, minibatch=3)
+    return make_hyperopt(4, datasets, reg_floor=0.01, minibatch=minibatch)
 
 
 # name -> (problem, scale of every third row's x, module whose clip_spectrum
@@ -668,16 +692,100 @@ class TestBatchedSample:
     @pytest.mark.parametrize("case", [c for c, (_, _, mod) in BATCH_CASES.items() if mod])
     def test_clipping_cases_reach_the_clip(self, case, monkeypatch):
         problem, scale, module = BATCH_CASES[case]
+        hyperopt = case.startswith("hyperopt")
         clipped = []
         clip = clip_spectrum
 
         def counting_clip(mats, lo, hi):
-            clipped.append(mats.shape[0])
+            # hyperopt clips one row's (b, d, d) stack a call, quadratic a
+            # stack of single Hessian draws
+            clipped.append(1 if hyperopt else mats.shape[0])
             return clip(mats, lo, hi)
 
         monkeypatch.setattr(f"{module}.clip_spectrum", counting_clip)
-        problem.sample(*self.inputs(problem, scale, 0, 12), 3)
+        # hyperopt expands (and clips) its Hessian rows when they are read
+        np.asarray(problem.sample(*self.inputs(problem, scale, 0, 12), 3).hyy_g_draws)
         # hyperopt clips whole rows, quadratic single Hessian draws; the
         # batch must mix clipped and unclipped ones
-        units = 12 if case.startswith("hyperopt") else 12 * 3
+        units = 12 if hyperopt else 12 * 3
         assert 0 < sum(clipped) < units
+
+
+def batched_hessians(problem, agents, xs, ys, rngs, b):
+    """Hyperopt's Hessian draws expanded for every row at once, as one stack.
+
+    A plain copy of the whole-stack expansion: the same generator calls
+    per row, a three-operand einsum over all rows, and one
+    ``clip_spectrum`` call on the rows whose bound can leave the ball.
+    Returns the (rows, b, d, d) stack and the clipped-row mask.
+    """
+    mb, dim = problem.minibatch, problem.d_y
+    h_idx = np.empty((len(agents), b, mb), dtype=np.int64)
+    for r, (agent, rng) in enumerate(zip(agents, rngs)):
+        size = problem._train_size[agent]
+        rng.integers(0, problem._val_size[agent], size=mb)  # validation minibatch
+        rng.integers(0, size, size=mb)  # training minibatch
+        h_idx[r] = problem._train_start[agent] + rng.integers(0, size, size=(b, mb))
+    reg = softplus(xs) + problem.lam_min
+    wh = problem._train_w[h_idx]
+    curv = sigmoid(matvec(wh, ys[:, None]))
+    curv = curv * (1.0 - curv)
+    hyy = np.einsum("rbm,rbmi,rbmj->rbij", curv, wh, wh) / mb
+    diag = np.arange(dim)
+    hyy[:, :, diag, diag] += reg[:, None]
+    top = 0.25 * problem._train_sq[h_idx].max(axis=(1, 2)) + reg.max(axis=1)
+    clip = top > problem._spec_hi
+    if np.any(clip):
+        hyy[clip] = clip_spectrum(hyy[clip], problem._spec_lo, problem._spec_hi)
+    return hyy, clip
+
+
+class TestDeferredHessians:
+    """Hyperopt's Hessian draws are built per row when read."""
+
+    @pytest.mark.parametrize("minibatch", [1, 3])
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 4])
+    @pytest.mark.parametrize("scale", [1.0, 60.0], ids=["unclipped", "clipped"])
+    def test_rows_equal_the_batched_expansion(self, minibatch, b, dim, scale):
+        # dim 1 takes the three-operand einsum: numpy sums 1 x 1 products
+        # over the minibatch in another order in the two-operand form
+        problem = _unequal_hyperopt(minibatch, dim)
+        rows = 12
+        deferred = problem.sample(*TestBatchedSample.inputs(problem, scale, 0, rows), b)
+        want, clip = batched_hessians(
+            problem, *TestBatchedSample.inputs(problem, scale, 0, rows), b)
+        # x = 60 on every third row clips some rows and leaves the others
+        assert (0 < clip.sum() < rows) if scale > 1 else not clip.any()
+        hyy = deferred.hyy_g_draws
+        assert isinstance(hyy, DeferredRows)
+        assert hyy.shape == want.shape and len(hyy) == rows
+        for r in range(rows):
+            assert np.array_equal(hyy[r], want[r]), f"row {r}, clipped {clip[r]}"
+        assert np.array_equal(np.asarray(hyy), want)
+        assert np.array_equal(np.stack(list(hyy)), want)
+
+    def test_sequence_semantics(self):
+        problem = _unequal_hyperopt()
+        hyy = problem.sample(*TestBatchedSample.inputs(problem, 60.0, 1, 5), 2).hyy_g_draws
+        full = np.asarray(hyy)
+        assert full.shape == hyy.shape == (5, 2, 4, 4)
+        assert np.array_equal(hyy[-1], full[4])
+        assert np.array_equal(hyy[np.int64(2)], full[2])
+        assert np.array_equal(hyy[1:3], full[1:3])
+        assert np.array_equal(hyy[:, 0], full[:, 0])
+        with pytest.raises(IndexError):
+            hyy[5]
+        with pytest.raises(ValueError):
+            np.asarray(hyy, copy=False)
+
+    def test_expanding_draws_nothing(self):
+        # every generator call happens in sample: expanding rows later, in
+        # any order, leaves the generators where sample left them
+        problem = _unequal_hyperopt()
+        agents, xs, ys, rngs = TestBatchedSample.inputs(problem, 1.0, 2, 4)
+        hyy = problem.sample(agents, xs, ys, rngs, 3).hyy_g_draws
+        states = [rng.bit_generator.state for rng in rngs]
+        backwards = [hyy[r] for r in reversed(range(4))][::-1]
+        assert [rng.bit_generator.state for rng in rngs] == states
+        assert np.array_equal(np.stack(backwards), np.asarray(hyy))
