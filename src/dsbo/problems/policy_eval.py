@@ -32,6 +32,12 @@ from .base import (
     matvec,
 )
 
+# Next-state draws search int64 keys on Generator.random's 2**-53 grid
+# (see ``_next_states``).  State s's keys reach (s + 1) * _GRID, so one
+# search holds at most _SEARCH_ROWS states.
+_GRID = 2**53
+_SEARCH_ROWS = np.iinfo(np.int64).max // _GRID  # 1023
+
 
 class PolicyEvalBilevel(BilevelProblem):
     compositional = True
@@ -47,32 +53,43 @@ class PolicyEvalBilevel(BilevelProblem):
         exact_oracle: bool = False,
     ):
         self._phi = np.asarray(phi, dtype=float)
-        self._p = np.asarray(transitions, dtype=float)
+        p = np.asarray(transitions, dtype=float)
         self._rbar = np.asarray(reward_means, dtype=float)
         if self._rbar.ndim != 3:
             raise ConfigError("reward_means must be (k, n_states, n_states)")
         self.k = self._rbar.shape[0]
         n_states, feat_dim = self._phi.shape
-        if self._p.shape != (n_states, n_states) or self._rbar.shape[1:] != (n_states, n_states):
+        if p.shape != (n_states, n_states) or self._rbar.shape[1:] != (n_states, n_states):
             raise ConfigError("transition / reward shapes inconsistent with features")
         if not (0.0 <= gamma < 1.0):
             raise ConfigError(f"discount gamma must lie in [0, 1), got {gamma!r}")
         if lam <= 0:
             raise ConfigError(f"ridge weight lambda must be positive, got {lam!r}")
-        row_err = np.abs(self._p.sum(axis=1) - 1.0).max()
+        row_err = np.abs(p.sum(axis=1) - 1.0).max()
         if row_err > 1e-9:
             raise ConfigError(f"transition rows must sum to 1 (max error {row_err:.2e})")
+        if not (p >= 0).all():  # also catches NaN, which the row sums let through
+            raise ConfigError("transition probabilities must be nonnegative")
 
         self.gamma = float(gamma)
         self.lam = float(lam)
         self.sigma_r = float(sigma_r)
         self.exact_oracle = bool(exact_oracle)
 
-        self._cum_p = np.cumsum(self._p, axis=1)
-        self._cum_p[:, -1] = 1.0
-        self._c_k = (self._p * self._rbar).sum(axis=2)  # (k, n_states)
+        # next-state search keys (see _next_states):
+        # keys[s, j] = ceil(min(cum_p[s, j], 1) * 2**53) + (s mod 1023) * 2**53
+        cum_p = np.cumsum(p, axis=1)
+        np.minimum(cum_p, 1.0, out=cum_p)
+        cum_p[:, -1] = 1.0
+        cum_p *= _GRID
+        self._keys = np.ceil(cum_p, out=cum_p).astype(np.int64)
+        local = np.arange(n_states) % _SEARCH_ROWS
+        self._key_base = local * _GRID
+        self._keys += self._key_base[:, None]
+        self._index_base = local * n_states
+        self._c_k = (p * self._rbar).sum(axis=2)  # (k, n_states)
         self._cbar = self._c_k.mean(axis=0)
-        self._p_phi = self._p @ self._phi  # (n_states, feat_dim)
+        self._p_phi = p @ self._phi  # (n_states, feat_dim)
         self._hxy_exact = -self.gamma * self._p_phi.T  # (feat_dim, n_states)
         self._eye = np.eye(n_states)
         self._eye.setflags(write=False)
@@ -103,7 +120,17 @@ class PolicyEvalBilevel(BilevelProblem):
 
     def _next_states(self, rngs, reward_noise: bool):
         """Per row, one sampled next state for every state, and (when
-        ``reward_noise``) the rows' standard normal reward noise."""
+        ``reward_noise``) the rows' standard normal reward noise.
+
+        Next state s' of state s is the first j with u < cum_p[s, j].
+        ``Generator.random`` returns multiples of 2**-53, so u * 2**53 is
+        an integer m, and u < c holds exactly when m < ceil(c * 2**53).
+        Offsetting row s's keys and query by (s mod 1023) * 2**53 puts
+        1023 states' keys in one sorted int64 array, so one right-sided
+        ``searchsorted`` per group of 1023 states finds every row's next
+        states: the same states as the comparison with the float
+        cumulative rows, without an (R, n, n) comparison cube.
+        """
         n = self.d_y
         u = np.empty((len(rngs), n))
         noise = np.empty((len(rngs), n)) if reward_noise else None
@@ -111,11 +138,21 @@ class PolicyEvalBilevel(BilevelProblem):
             rng.random(n, out=u[r])
             if reward_noise:
                 rng.standard_normal(n, out=noise[r])
-        return (u[:, :, None] < self._cum_p).argmax(axis=2), noise
+        u *= _GRID
+        nxt = u.astype(np.int64)
+        del u
+        nxt += self._key_base
+        for lo in range(0, n, _SEARCH_ROWS):
+            hi = min(lo + _SEARCH_ROWS, n)
+            nxt[:, lo:hi] = np.searchsorted(self._keys[lo:hi].ravel(), nxt[:, lo:hi],
+                                            side="right")
+        nxt -= self._index_base
+        return nxt, noise
 
     def _targets(self, agents, xs, rngs):
-        """Bellman targets, one row per agent, and the sampled next states
-        they used (None for the exact oracle, which draws nothing)."""
+        """Bellman targets, one row per agent, and the features of the
+        sampled next states they used, (R, n_states, d_x) (None for the
+        exact oracle, which draws nothing)."""
         if self.exact_oracle:
             return None, self._c_k[agents] + self.gamma * matvec(self._p_phi, xs)
         noisy = self.sigma_r > 0
@@ -123,18 +160,19 @@ class PolicyEvalBilevel(BilevelProblem):
         rewards = self._rbar[agents[:, None], self._states, nxt]
         if noisy:
             rewards = rewards + self.sigma_r * noise
-        return nxt, rewards + self.gamma * matvec(self._phi[nxt], xs)
+        phi_next = self._phi[nxt]
+        return phi_next, rewards + self.gamma * matvec(phi_next, xs)
 
     def sample(self, agents, xs, ys, rngs, b=1):
         agents = np.asarray(agents)
         rows = len(agents)
         gx_f, gy_f = self._outer_grads(xs, ys)
-        nxt, delta = self._targets(agents, xs, rngs)
+        phi_next, delta = self._targets(agents, xs, rngs)
         gy_g = ys - delta
-        if nxt is None:
+        if phi_next is None:
             hxy = np.broadcast_to(self._hxy_exact, (rows, self.d_x, self.d_y))
         else:
-            hxy = -self.gamma * self._phi[nxt].transpose(0, 2, 1)
+            hxy = -self.gamma * phi_next.transpose(0, 2, 1)
         hyy = np.broadcast_to(self._eye, (rows, b, self.d_y, self.d_y))
         return StochasticSample(gx_f=gx_f, gy_f=gy_f, gy_g=gy_g, hxy_g=hxy, hyy_g_draws=hyy)
 

@@ -3,9 +3,13 @@
 import copy
 import dataclasses
 import gc
+import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import dsbo
 from dsbo import (
     ConfigError,
     DivergenceError,
@@ -572,6 +577,55 @@ class TestRun:
     def test_chain_rule_rejects_quadratic(self):
         with pytest.raises(ConfigError, match="compositional"):
             run(quad_config(algorithm="dsgd"))
+
+
+# Runs the RunConfig given as JSON in argv[1] and prints its CSV's SHA-1.
+_SHA1_SCRIPT = """
+import hashlib, json, sys
+from dsbo import RunConfig, run, trace_to_csv
+csv = trace_to_csv(run(RunConfig.from_dict(json.loads(sys.argv[1]))))
+print(hashlib.sha1(csv.encode()).hexdigest())
+"""
+
+
+class TestThreadSettings:
+    """A rerun with any BLAS/OpenMP thread setting writes the same CSV bytes."""
+
+    CONFIGS = {
+        "policy-eval": RunConfig(
+            algorithm="dsbo", t_total=20, b=2, seed=3,
+            problem=ProblemConfig(family="policy-eval", n_states=50, feat_dim=5, seed=7),
+            topology=TopologyConfig(kind="ring", k=20),
+            schedule=ScheduleConfig(regime="capped"),
+        ),
+        "hyperopt": RunConfig(
+            algorithm="dsbo", t_total=10, b=8, seed=3,
+            problem=ProblemConfig(family="hyperopt", n_points=60, dim=4, seed=11),
+            topology=TopologyConfig(kind="ring", k=3),
+            schedule=ScheduleConfig(regime="capped"),
+        ),
+    }
+
+    @staticmethod
+    def csv_sha1(cfg, threads: int) -> str:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dsbo.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads),
+                   PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+        done = subprocess.run(
+            [sys.executable, "-c", _SHA1_SCRIPT, json.dumps(cfg.to_dict())],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        return done.stdout.strip()
+
+    @pytest.mark.parametrize("family", CONFIGS)
+    def test_thread_setting_does_not_change_bytes(self, family):
+        cfg = self.CONFIGS[family]
+        one, two = self.csv_sha1(cfg, 1), self.csv_sha1(cfg, 2)
+        assert re.fullmatch(r"[0-9a-f]{40}", one)
+        assert one == two
+        assert one == hashlib.sha1(trace_to_csv(run(cfg)).encode()).hexdigest()
 
 
 class TestHyperoptDataFile:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dsbo import (
     ConfigError,
     DataFormatError,
+    PolicyEvalBilevel,
     ProblemConstants,
     QuadraticBilevel,
     Recorder,
@@ -282,6 +283,48 @@ class TestPolicyEval:
         assert jac.shape == (p.d_x, p.comp_dim)
         assert np.allclose(jac[:, p.d_y:], np.eye(3))
 
+    @pytest.mark.parametrize("bad", [-0.5, np.nan])
+    def test_negative_transition_rejected(self, bad):
+        trans = np.array([[1.0 - bad, bad], [0.5, 0.5]])
+        with pytest.raises(ConfigError, match="nonnegative"):
+            PolicyEvalBilevel(np.ones((2, 1)), trans, np.zeros((1, 2, 2)), gamma=0.5,
+                              lam=1.0)
+
+    def test_sample_builds_no_comparison_cube(self):
+        # past the live set a K=20 sample holds its outputs, the gathered
+        # next-state features and row-sized temporaries; the (R, n, n)
+        # comparison cube of a float next-state search peaked 197 KB
+        k, n = 20, 50
+        p = make_policy_eval(k, n, 5, gamma=0.5, lam=1.0, seed=7)
+        rng = np.random.default_rng(0)
+        agents = np.arange(k)
+        xs, ys = rng.standard_normal((k, 5)), rng.standard_normal((k, n))
+        p.sample(agents, xs, ys, stream(0, "warm", agents), 1)
+        rngs = stream(0, "oracle", agents)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            p.sample(agents, xs, ys, rngs, 1)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= 120_000, peak
+
+    def test_instance_holds_rewards_keys_and_identity(self):
+        # the (n, n) arrays an instance keeps are the K reward-mean
+        # matrices, the next-state search keys and the identity; the
+        # transition matrix is read in construction only
+        k, n = 5, 50
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p = make_policy_eval(k, n, 5, 0.5, 1.0, seed=7)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert p.d_y == n
+        assert kept <= 8 * (k + 2) * n * n + 16 * 1024, kept
+
 
     def test_record_runs_no_dense_solve(self, monkeypatch):
         # the exact inner Hessian is the identity, so the family skips the solve
@@ -297,6 +340,114 @@ class TestPolicyEval:
         recorder.record(0, state.x + 0.3, state.y, 0, 0, est=state)
         recorder.record(1, state.x - 0.2, state.y, 1, 1)
         assert len(recorder.records) == 2
+
+
+class FixedDraws:
+    """Stands in for a Generator whose ``random`` returns the given values."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n, out):
+        out[:] = self.u
+
+
+GRID = 2.0**-53  # spacing of Generator.random's doubles
+
+
+def cube_next_states(trans, u):
+    """The float search: the first j with u < cumsum(trans)[s, j], via the
+    (R, n, n) comparison cube, with each cumulative row's last entry set to 1."""
+    cum_p = np.cumsum(trans, axis=1)
+    cum_p[:, -1] = 1.0
+    return (u[:, :, None] < cum_p).argmax(axis=2)
+
+
+def random_transitions(rng, n, zero_frac):
+    trans = rng.random((n, n)) * (rng.random((n, n)) >= zero_frac)
+    trans[np.arange(n), rng.integers(0, n, n)] += 0.5  # no all-zero row
+    return trans / trans.sum(axis=1, keepdims=True)
+
+
+def policy_eval_with(trans, k=1):
+    n = trans.shape[0]
+    return PolicyEvalBilevel(np.ones((n, 2)), trans, np.zeros((k, n, n)), gamma=0.5, lam=1.0)
+
+
+def boundary_draws(trans, cols=slice(None)):
+    """Grid draws at and around cumulative entries, with 0 and 1 - 2**-53.
+
+    Row r of the result holds, for each state s, the r-th candidate of s:
+    the grid points just below, at and above ``cum_p[s, j]`` for each
+    column j in ``cols``, clipped to [0, 1 - 2**-53].
+    """
+    cum_p = np.minimum(np.cumsum(trans, axis=1), 1.0)[:, cols]
+    lo = np.floor(cum_p / GRID) * GRID
+    hi = np.ceil(cum_p / GRID) * GRID
+    ends = np.zeros((len(trans), 2))
+    ends[:, 1] = 1.0 - GRID
+    cand = np.concatenate([lo - GRID, lo, hi, hi + GRID, ends], axis=1)
+    return np.clip(cand, 0.0, 1.0 - GRID).T.copy()
+
+
+class TestPolicyEvalNextStates:
+    """The integer search picks the states the float comparison cube picks."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), k=st.integers(1, 20),
+           zero_frac=st.sampled_from([0.0, 0.5, 0.9]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_comparison_cube(self, seed, n, k, zero_frac):
+        rng = np.random.default_rng(seed)
+        trans = random_transitions(rng, n, zero_frac)
+        p = policy_eval_with(trans, k)
+        rngs = stream(seed, "next", np.arange(k))
+        u = np.stack([g.random(n) for g in stream(seed, "next", np.arange(k))])
+        got, noise = p._next_states(rngs, reward_noise=False)
+        assert noise is None
+        assert np.array_equal(got, cube_next_states(trans, u))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12))
+    @settings(max_examples=20, deadline=None)
+    def test_boundary_draws(self, seed, n):
+        rng = np.random.default_rng(seed)
+        trans = random_transitions(rng, n, 0.3)
+        u = boundary_draws(trans)
+        got, _ = policy_eval_with(trans)._next_states([FixedDraws(row) for row in u], False)
+        assert np.array_equal(got, cube_next_states(trans, u))
+
+    @pytest.mark.parametrize("trans, u, expect", [
+        # quarter probabilities put every cumulative entry on the grid: a
+        # draw equal to an entry moves past it, its lower neighbour does not
+        ([[0.25, 0.25, 0.5], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]],
+         [[0.0, 0.0, 0.0], [0.25 - GRID, 0.5 - GRID, 1 - GRID], [0.25, 0.5, 0.5],
+          [0.25 + GRID, 0.5 + GRID, 0.25], [0.5, 1 - GRID, 0.75]],
+         [[0, 0, 2], [0, 0, 2], [1, 2, 2], [1, 2, 2], [2, 2, 2]]),
+        # row 0's cumsum passes 1 at column 1, so column 2 is never drawn
+        ([[0.6, 0.4 + 1e-10, 1e-11], [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]],
+         [[0.0, 0.0, 0.0], [0.6 - GRID, 0.5 - GRID, 0.25], [0.6, 0.5, 0.5],
+          [1 - GRID, 1 - GRID, 1 - GRID]],
+         [[0, 0, 0], [0, 0, 1], [1, 1, 2], [1, 1, 2]]),
+    ], ids=["grid-entries", "cumsum-passes-one"])
+    def test_boundary_examples(self, trans, u, expect):
+        trans, u = np.array(trans), np.array(u)
+        got, _ = policy_eval_with(trans)._next_states([FixedDraws(row) for row in u], False)
+        assert got.tolist() == expect
+        assert np.array_equal(got, cube_next_states(trans, u))
+
+    def test_more_states_than_one_search_holds(self):
+        from dsbo.problems.policy_eval import _SEARCH_ROWS
+
+        n = 1100
+        assert n > _SEARCH_ROWS  # the keys span two int64 searches
+        trans = random_transitions(np.random.default_rng(5), n, 0.0)
+        p = policy_eval_with(trans)
+        u = np.stack([g.random(n) for g in stream(5, "wide", np.arange(2))])
+        got, _ = p._next_states(stream(5, "wide", np.arange(2)), reward_noise=False)
+        assert np.array_equal(got, cube_next_states(trans, u))
+        # and on every state's boundary draws at two columns
+        u = boundary_draws(trans, cols=[3, 700])
+        got, _ = p._next_states([FixedDraws(row) for row in u], False)
+        assert np.array_equal(got, cube_next_states(trans, u))
 
 
 @pytest.mark.parametrize("problem", [
