@@ -13,9 +13,9 @@
   sampled Jacobians straight into the outer gradient, which is biased
   whenever agents are heterogeneous.
 
-The double-loop runners take a ``recorder`` (see harness) so they can
-emit the same trace rows as the main algorithm without importing it.
-They mix with ``topology.gossip_mix`` and check iterates with
+The double-loop runners are generators of trace steps; ``harness.run``
+alone records them and attaches a divergence's partial trace.  They mix
+with ``topology.gossip_mix`` and check iterates with
 ``core.check_finite``, like the round kernel.
 """
 
@@ -33,7 +33,7 @@ from .core import (
     neumann_chain,
     round_step,
 )
-from .errors import DivergenceError, UnsupportedProblemError
+from .errors import UnsupportedProblemError
 from .problems.base import StochasticSample, matvec
 from .rng import stream
 from .topology import MixingMatrix, gossip_mix
@@ -113,7 +113,6 @@ def dbsa_run(
     alpha_schedule,
     eta_schedule,
     master_seed: int,
-    recorder,
     full_hypergrad: bool = False,
     corr_depth: int = 1,
 ):
@@ -124,7 +123,9 @@ def dbsa_run(
     sampled partial gradient of the outer objective.  Inner samples
     therefore grow quadratically: after finishing outer step t each agent
     has consumed t(t+1)/2 inner draws.  ``alpha_schedule(t)`` and
-    ``eta_schedule(i)`` give the outer and inner step sizes.
+    ``eta_schedule(i)`` give the outer and inner step sizes.  Yields
+    ``(t, xs, ys, samples_zeta, samples_xi)``, the draw counts cumulative
+    per agent, at round 0 and after each outer step.
 
     ``full_hypergrad`` bolts the implicit-gradient correction onto the x
     update (built from ``corr_depth`` fresh Hessian draws); the default
@@ -136,35 +137,38 @@ def dbsa_run(
     consts = problem.constants
     xs = np.zeros((n_agents, consts.d_x))
     ys = np.zeros((n_agents, consts.d_y))
-    zeta = xi = 0  # per-agent cumulative draws
-    recorder.record(0, xs, ys, zeta, xi)
+    yield 0, xs, ys, 0, 0
 
-    try:
-        for t in range(t_total):
-            for i in range(t):
-                eta = eta_schedule(i)
-                rngs = stream(master_seed, "dbsa-inner", agents, t, i)
-                grads = problem.sample(agents, xs, ys, rngs, 1).gy_g
-                ys = gossip_mix(ys, w) - eta * grads
-            xi += t
+    for t in range(t_total):
+        for i in range(t):
+            eta = eta_schedule(i)
+            rngs = stream(master_seed, "dbsa-inner", agents, t, i)
+            grads = problem.sample(agents, xs, ys, rngs, 1).gy_g
+            ys = gossip_mix(ys, w) - eta * grads
 
-            rngs = stream(master_seed, "dbsa-outer", agents, t)
-            outer = problem.sample(agents, xs, ys, rngs, corr_depth)
-            steps = outer.gx_f
-            if full_hypergrad:
-                steps = steps - np.stack([
-                    outer.hxy_g[agent]
-                    @ (neumann_chain(outer.hyy_g_draws[agent], consts.l_g) @ outer.gy_f[agent])
-                    for agent in agents
-                ])
-            xs = gossip_mix(xs, w) - alpha_schedule(t) * steps
-            zeta += 1
-            check_finite((("x", xs), ("y", ys)), t)
-            recorder.record(t + 1, xs, ys, zeta, xi)
-    except DivergenceError as err:
-        err.trace = recorder.finish()
-        raise
-    return recorder.finish()
+        rngs = stream(master_seed, "dbsa-outer", agents, t)
+        outer = problem.sample(agents, xs, ys, rngs, corr_depth)
+        steps = outer.gx_f
+        if full_hypergrad:
+            steps = steps - np.stack([
+                outer.hxy_g[agent]
+                @ (neumann_chain(outer.hyy_g_draws[agent], consts.l_g) @ outer.gy_f[agent])
+                for agent in agents
+            ])
+        xs = gossip_mix(xs, w) - alpha_schedule(t) * steps
+        check_finite((("x", xs), ("y", ys)), t)
+        # per agent: one outer draw a step, t inner draws at step t
+        yield t + 1, xs, ys, t + 1, t * (t + 1) // 2
+
+
+def check_compositional(problem):
+    """Raise unless ``problem`` can run the chain-rule baseline."""
+    if not getattr(problem, "compositional", False):
+        raise UnsupportedProblemError(
+            "the chain-rule baseline needs a compositional problem family "
+            "(inner value expressible as a sampled mapping of x); "
+            f"{type(problem).__name__} is not one"
+        )
 
 
 def dsgd_run(
@@ -174,7 +178,6 @@ def dsgd_run(
     alpha_schedule,
     eta_schedule,
     master_seed: int,
-    recorder,
 ):
     """Naive chain-rule baseline on compositional instances.
 
@@ -183,39 +186,27 @@ def dsgd_run(
     Jacobian draw into the outer gradient at that estimate.  For
     heterogeneous instances the product of independently sampled factors
     does not average to the true gradient, which is exactly the bias the
-    corrected algorithm removes.  Step sizes are taken as in ``dbsa_run``.
+    corrected algorithm removes.  Step sizes and steps are as in
+    ``dbsa_run``; ``ys`` is the inner estimate's first d_y entries.
     """
-    if not getattr(problem, "compositional", False):
-        raise UnsupportedProblemError(
-            "the chain-rule baseline needs a compositional problem family "
-            "(inner value expressible as a sampled mapping of x); "
-            f"{type(problem).__name__} is not one"
-        )
+    check_compositional(problem)
     n_agents = problem.k
     agents = np.arange(n_agents)
     xs = np.zeros((n_agents, problem.constants.d_x))
     inner = np.zeros((n_agents, problem.comp_dim))
-    zeta = xi = 0
-    recorder.record(0, xs, inner[:, : problem.d_y], zeta, xi)
+    yield 0, xs, inner[:, : problem.d_y], 0, 0
 
-    try:
-        for t in range(t_total):
-            inner = np.zeros((n_agents, problem.comp_dim))
-            for i in range(t):
-                eta = eta_schedule(i)
-                rngs = stream(master_seed, "dsgd-inner", agents, t, i)
-                fresh = problem.comp_value(agents, xs, rngs)
-                inner = (1.0 - eta) * gossip_mix(inner, w) + eta * fresh
-            xi += t
+    for t in range(t_total):
+        inner = np.zeros((n_agents, problem.comp_dim))
+        for i in range(t):
+            eta = eta_schedule(i)
+            rngs = stream(master_seed, "dsgd-inner", agents, t, i)
+            fresh = problem.comp_value(agents, xs, rngs)
+            inner = (1.0 - eta) * gossip_mix(inner, w) + eta * fresh
 
-            rngs = stream(master_seed, "dsgd-outer", agents, t)
-            steps = matvec(problem.comp_jac(agents, xs, rngs), problem.comp_outer_grad(inner))
-            xs = gossip_mix(xs, w) - alpha_schedule(t) * steps
-            zeta += 1
-            xi += 1  # Jacobian draw
-            check_finite((("x", xs), ("y", inner)), t)
-            recorder.record(t + 1, xs, inner[:, : problem.d_y], zeta, xi)
-    except DivergenceError as err:
-        err.trace = recorder.finish()
-        raise
-    return recorder.finish()
+        rngs = stream(master_seed, "dsgd-outer", agents, t)
+        steps = matvec(problem.comp_jac(agents, xs, rngs), problem.comp_outer_grad(inner))
+        xs = gossip_mix(xs, w) - alpha_schedule(t) * steps
+        check_finite((("x", xs), ("y", inner)), t)
+        # per agent: one outer draw a step; t inner draws and a Jacobian draw at step t
+        yield t + 1, xs, inner[:, : problem.d_y], t + 1, t * (t + 1) // 2 + t + 1

@@ -29,7 +29,6 @@ from .harness import (
     RunConfig,
     Trace,
     TRACE_COLUMNS,
-    build_problem,
     build_topology,
     load_config,
     read_trace,
@@ -95,16 +94,15 @@ def _quantiles(values) -> dict:
 def _run_and_write(cfg: RunConfig, out: str) -> tuple[str, Trace]:
     """Run cfg and write its trace into out; returns (path, trace).
 
-    On divergence the records collected so far go to ``<path>.partial``,
-    which stderr names, and the error propagates (``main`` exits 4).
+    On divergence the records collected so far, round 0 at least, go to
+    ``<path>.partial``, which stderr names; ``main`` then exits 4.
     """
     path = os.path.join(out, _trace_name(cfg))
     try:
         trace = harness.run(cfg)
     except DivergenceError as err:
-        if err.trace is not None and err.trace.records:
-            write_trace(err.trace, path + ".partial")
-            print(f"partial trace: {path}.partial", file=sys.stderr)
+        write_trace(err.trace, path + ".partial")
+        print(f"partial trace: {path}.partial", file=sys.stderr)
         raise
     write_trace(trace, path)
     return path, trace
@@ -211,10 +209,11 @@ def cmd_validate(args) -> int:
             failures.append(name)
 
     # MixingMatrix and ProblemConstants enforce symmetry, double
-    # stochasticity and the curvature bounds by raising here
+    # stochasticity and the curvature bounds by raising here, and
+    # check_run rejects every config that run rejects
     try:
         w = build_topology(cfg.topology)
-        problem = build_problem(cfg.problem, cfg.topology.k)
+        problem, _ = harness.check_run(cfg)
     except ConfigError as err:
         print(f"FAIL construction ({type(err).__name__}): {err}")
         return EXIT_CONFIG

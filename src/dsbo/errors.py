@@ -57,7 +57,7 @@ class DivergenceError(DsboError):
     """An optimizer state became non-finite.
 
     Attributes identify the first offending agent, state field and round;
-    ``trace`` holds the records collected before the failure.
+    ``harness.run`` alone sets ``trace`` to the partial trace it recorded.
     """
 
     def __init__(self, agent: int, field: str, t: int):

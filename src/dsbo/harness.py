@@ -7,10 +7,12 @@ x*, F*, and the mixing-matrix contraction factor) and one row per round
 sampled at the metric cadence, stored as a ``TRACE_DTYPE`` array and read
 through :class:`TraceRecords`.
 
-The gossip algorithm and its federated variant share one loop: a
-:class:`~dsbo.core.NetworkState` advanced by ``dsbo_round`` or
-``fedsbo_round`` and recorded at the metric cadence.  The double-loop
-baselines drive the recorder themselves.
+Every algorithm is a generator of steps ``(t, xs, ys, samples_zeta,
+samples_xi[, est])``: the gossip algorithm and its federated variant
+advance a :class:`~dsbo.core.NetworkState` by ``dsbo_round`` or
+``fedsbo_round`` and yield it as ``est``; the double-loop baselines are
+``dbsa_run`` and ``dsgd_run``.  ``run`` alone records the steps at the
+metric cadence, and on divergence it alone attaches the partial trace.
 
 Determinism contract: every random draw anywhere in a run derives from
 ``config.seed`` through per-(purpose, agent, round) streams, so a config
@@ -27,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import dsgd_run, dbsa_run, fedsbo_round, init_central, sgd_eta
+from .baselines import (check_compositional, dbsa_run, dsgd_run, fedsbo_round,
+                        init_central, sgd_eta)
 from .core import StepSchedule, default_b, dsbo_round, init_agents
 from .errors import ConfigError, DivergenceError, NumericsError
 from .problems import (
@@ -433,8 +436,6 @@ class Recorder:
     def record(self, t: int, xs, ys, samples_zeta: int, samples_xi: int, est=None):
         if t % self.cadence != 0 and t != self.t_total:
             return
-        xs = np.atleast_2d(xs)
-        ys = np.atleast_2d(ys)
         xbar = _mean(xs)
         ybar = _mean(ys)
         y_star = self.problem.exact_lower(xbar)
@@ -463,9 +464,6 @@ class Recorder:
             samples_xi,
         )
         self._n += 1
-
-    def finish(self) -> TraceRecords:
-        return self.records
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +540,9 @@ def build_problem(cfg: ProblemConfig, k: int):
         except OSError as err:
             raise ConfigError(f"cannot read data from {cfg.data_path!r}: {err}") from err
         features, labels = densify(records)
+        if labels.min() == labels.max():
+            raise ConfigError(f"every label in {cfg.data_path!r} maps to class {labels[0]:g} "
+                              "(labels <= 0 map to 0, labels > 0 to 1); it needs both classes")
         rows = list(zip(features, labels))
         datasets = []
         for shard in split_partition(rows, k, cfg.seed):
@@ -600,12 +601,9 @@ def default_cadence(t_total: int) -> int:
 # Running
 
 
-def run(config: RunConfig) -> Trace:
-    """Execute one configured run and return its trace.
-
-    Raises the algorithm's divergence error with the partial trace
-    attached (``err.trace``) if any iterate stops being finite.
-    """
+def check_run(config: RunConfig):
+    """Reject any config ``run`` rejects, before the reference solve, and
+    return the (problem, schedule) it builds for the run."""
     if config.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r} (expected one of {ALGORITHMS})")
     if config.t_total < 1:
@@ -615,7 +613,32 @@ def run(config: RunConfig) -> Trace:
             raise ConfigError(f"{name} must be >= 0 (0 derives it), got {getattr(config, name)}")
     k = config.topology.k
     problem = build_problem(config.problem, k)
-    schedule = schedule_from_config(config.schedule, k, config.t_total)
+    if config.algorithm == "dsgd":
+        check_compositional(problem)
+    return problem, schedule_from_config(config.schedule, k, config.t_total)
+
+
+def _round_steps(config: RunConfig, problem, w, schedule: StepSchedule, b: int):
+    """The gossip (``w`` given) or federated rounds as steps with ``est``."""
+    state = init_central(problem, b) if w is None else init_agents(problem, b)
+    yield 0, state.x, state.y, 0, 0, state
+    for t in range(config.t_total):
+        streams = agent_round_streams(config.seed, "oracle", problem.k, t)
+        if w is None:
+            state = fedsbo_round(state, problem, schedule, t, streams)
+        else:
+            state = dsbo_round(state, w, problem, schedule, t, streams)
+        # per agent and round: one outer draw, 1 + b inner draws
+        yield t + 1, state.x, state.y, t + 1, (t + 1) * (1 + b), state
+
+
+def run(config: RunConfig) -> Trace:
+    """Execute one configured run and return its trace.
+
+    Raises the algorithm's divergence error with the partial trace
+    attached (``err.trace``) if any iterate stops being finite.
+    """
+    problem, schedule = check_run(config)
     b = config.b if config.b > 0 else default_b(
         max(config.t_total, 2), problem.constants.kappa_g
     )
@@ -624,11 +647,8 @@ def run(config: RunConfig) -> Trace:
     # the star network of fedsbo has no mixing matrix
     w = None if config.algorithm == "fedsbo" else build_topology(config.topology)
 
-    resolved = config.to_dict()
-    resolved["b"] = b
-    resolved["cadence"] = cadence
     header = {
-        "config": resolved,
+        "config": dict(config.to_dict(), b=b, cadence=cadence),
         "reference": {
             "x_star": [float(v) for v in x_star],
             "f_star": f_star,
@@ -639,39 +659,19 @@ def run(config: RunConfig) -> Trace:
         },
     }
 
+    eta = sgd_eta(config.dbsa.eta_c)
+    if config.algorithm == "dbsa":
+        steps = dbsa_run(problem, w, config.t_total, schedule.alpha, eta, config.seed,
+                         full_hypergrad=config.dbsa.full_hypergrad,
+                         corr_depth=config.dbsa.corr_depth)
+    elif config.algorithm == "dsgd":
+        steps = dsgd_run(problem, w, config.t_total, schedule.alpha, eta, config.seed)
+    else:
+        steps = _round_steps(config, problem, w, schedule, b)
     recorder = Recorder(problem, cadence, config.t_total, x_star, f_star)
     try:
-        if config.algorithm in ("dsbo", "fedsbo"):
-            if config.algorithm == "dsbo":
-                state = init_agents(problem, b)
-
-                def advance(state, t, streams):
-                    return dsbo_round(state, w, problem, schedule, t, streams)
-            else:
-                state = init_central(problem, b)
-
-                def advance(state, t, streams):
-                    return fedsbo_round(state, problem, schedule, t, streams)
-
-            zeta = xi = 0
-            recorder.record(0, state.x, state.y, zeta, xi, est=state)
-            for t in range(config.t_total):
-                state = advance(state, t, agent_round_streams(config.seed, "oracle", k, t))
-                zeta += 1
-                xi += 1 + b
-                recorder.record(t + 1, state.x, state.y, zeta, xi, est=state)
-        elif config.algorithm == "dbsa":
-            dbsa_run(
-                problem, w, config.t_total, schedule.alpha, sgd_eta(config.dbsa.eta_c),
-                config.seed, recorder,
-                full_hypergrad=config.dbsa.full_hypergrad,
-                corr_depth=config.dbsa.corr_depth,
-            )
-        else:  # dsgd
-            dsgd_run(
-                problem, w, config.t_total, schedule.alpha, sgd_eta(config.dbsa.eta_c),
-                config.seed, recorder,
-            )
+        for step in steps:
+            recorder.record(*step)
     except DivergenceError as err:
         err.trace = Trace(header=header, records=recorder.records)
         raise

@@ -54,17 +54,14 @@ def parse_libsvm(stream, negative_label: float | None = None) -> list[tuple[int,
     return records
 
 
-def densify(records, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def densify(records) -> tuple[np.ndarray, np.ndarray]:
     """Expand sparse records to a dense (features, labels) array pair.
 
-    The feature dimension defaults to the maximum index seen.
+    The feature dimension is the maximum index seen.
     """
     if not records:
         raise ConfigError("cannot densify an empty record list")
-    max_seen = max((max(feats) for _, feats in records if feats), default=0)
-    dim = max_seen if dim is None else dim
-    if dim < max_seen:
-        raise ConfigError(f"dim = {dim} below max feature index {max_seen}")
+    dim = max((max(feats) for _, feats in records if feats), default=0)
     features = np.zeros((len(records), dim))
     labels = np.zeros(len(records))
     for row, (label, feats) in enumerate(records):
@@ -74,14 +71,12 @@ def densify(records, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     return features, labels
 
 
-def split_partition(dataset, k: int, seed: int, mode: str = "iid-shuffle") -> list[list]:
+def split_partition(dataset, k: int, seed: int) -> list[list]:
     """Shuffle deterministically, then cut into k contiguous shards.
 
     Shard sizes differ by at most one; the remainder goes to the first
     shards (10 items over 3 agents -> sizes 4, 3, 3).
     """
-    if mode != "iid-shuffle":
-        raise ConfigError(f"unknown partition mode {mode!r}")
     items = list(dataset)
     if k < 1:
         raise ConfigError(f"agent count must be positive, got {k}")

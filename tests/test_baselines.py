@@ -32,20 +32,6 @@ from dsbo.baselines import agent_mean
 STATE_FIELDS = ("x", "y", "s", "h", "u", "v", "q")
 
 
-class ListRecorder:
-    """Minimal stand-in for the harness recorder."""
-
-    def __init__(self):
-        self.rows = []
-
-    def record(self, t, xs, ys, samples_zeta, samples_xi, est=None):
-        self.rows.append((t, np.array(xs, copy=True), np.array(ys, copy=True),
-                          samples_zeta, samples_xi))
-
-    def finish(self):
-        return self.rows
-
-
 class SpyProblem:
     """Delegates to a real problem while logging oracle call sites."""
 
@@ -209,42 +195,37 @@ class TestDbsa:
         return make_quadratic(3, 3, 3, seed=9, sigma_f=0.0, sigma_g=0.0)
 
     def test_first_outer_step_runs_no_inner_steps(self, quiet_problem):
-        rec = ListRecorder()
-        dbsa_run(quiet_problem, build_ring(3), 1, lambda t: 0.1, sgd_eta(), 0, rec)
-        t1 = rec.rows[1]
+        t1 = list(dbsa_run(quiet_problem, build_ring(3), 1, lambda t: 0.1, sgd_eta(), 0))[1]
         assert t1[0] == 1
         assert not t1[2].any()  # y untouched: zero inner steps at t = 0
         assert t1[1].any()  # x moved along the sampled outer gradient
 
     def test_sample_counters_quadratic_inner_growth(self, quiet_problem):
-        rec = ListRecorder()
         t_total = 30
-        dbsa_run(quiet_problem, build_ring(3), t_total, lambda t: 0.01, sgd_eta(), 0, rec)
-        t, _, _, zeta, xi = rec.rows[-1]
+        rows = list(dbsa_run(quiet_problem, build_ring(3), t_total, lambda t: 0.01, sgd_eta(), 0))
+        t, _, _, zeta, xi = rows[-1]
         assert t == t_total
         assert zeta == t_total  # one outer draw per agent per outer step
         assert xi == t_total * (t_total - 1) // 2  # 0 + 1 + ... + (T-1)
-        mids = {row[0]: (row[3], row[4]) for row in rec.rows}
+        mids = {row[0]: (row[3], row[4]) for row in rows}
         assert mids[10] == (10, 45)
 
     def test_inner_residual_shrinks_with_warm_start(self, quiet_problem):
         p = quiet_problem
-        rec = ListRecorder()
-        dbsa_run(p, build_ring(3), 60, lambda t: 0.05, sgd_eta(), 3, rec)
+        rows = list(dbsa_run(p, build_ring(3), 60, lambda t: 0.05, sgd_eta(), 3))
         def residual(row):
             xbar, ybar = row[1].mean(axis=0), row[2].mean(axis=0)
             return float(np.linalg.norm(ybar - p.exact_lower(xbar)))
-        early = residual(rec.rows[5])
-        late = residual(rec.rows[60])
+        early = residual(rows[5])
+        late = residual(rows[60])
         assert late < early / 15
 
     def test_partial_gradient_settles_at_outer_shift_mean(self, quiet_problem):
         # gx_f = x - a_k ignores y entirely, so the published update can only
         # find the mean shift vector, not the bilevel optimum
         p = quiet_problem
-        rec = ListRecorder()
-        dbsa_run(p, build_ring(3), 120, lambda t: 0.2, sgd_eta(), 3, rec)
-        xbar = rec.rows[-1][1].mean(axis=0)
+        rows = list(dbsa_run(p, build_ring(3), 120, lambda t: 0.2, sgd_eta(), 3))
+        xbar = rows[-1][1].mean(axis=0)
         abar = p.exact_gradients(np.zeros(3), np.zeros(3)).gx_f * -1
         x_star, _ = p.optimum()
         assert np.linalg.norm(xbar - abar) < 1e-9
@@ -254,10 +235,9 @@ class TestDbsa:
         p = quiet_problem
         finals = {}
         for flag in (False, True):
-            rec = ListRecorder()
-            dbsa_run(p, build_ring(3), 150, lambda t: 0.1, sgd_eta(), 3, rec,
-                     full_hypergrad=flag, corr_depth=40)
-            xbar = rec.rows[-1][1].mean(axis=0)
+            rows = list(dbsa_run(p, build_ring(3), 150, lambda t: 0.1, sgd_eta(), 3,
+                                 full_hypergrad=flag, corr_depth=40))
+            xbar = rows[-1][1].mean(axis=0)
             x_star, _ = p.optimum()
             finals[flag] = float(np.sum((xbar - x_star) ** 2))
         assert finals[True] < 1e-12
@@ -267,57 +247,43 @@ class TestDbsa:
         p = make_quadratic(3, 3, 3, seed=10, sigma_f=0.3, sigma_g=0.1)
         traces = []
         for _ in range(2):
-            rec = ListRecorder()
-            dbsa_run(p, build_ring(3), 12, lambda t: 0.05, sgd_eta(), 21, rec)
-            traces.append(rec.rows)
+            traces.append(list(dbsa_run(p, build_ring(3), 12, lambda t: 0.05, sgd_eta(), 21)))
         for ra, rb in zip(*traces):
             assert ra[0] == rb[0]
             assert np.array_equal(ra[1], rb[1]) and np.array_equal(ra[2], rb[2])
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_divergence_attaches_partial_trace(self, quiet_problem):
-        rec = ListRecorder()
-        with pytest.raises(DivergenceError) as exc:
-            dbsa_run(quiet_problem, build_ring(3), 50, lambda t: 1e200, sgd_eta(), 0, rec)
-        err = exc.value
-        assert err.trace is not None and len(err.trace) >= 1
-        assert err.t < 50
 
 
 class TestDsgd:
     def test_rejects_non_compositional(self):
         p = make_quadratic(3, 3, 3, seed=1)
         with pytest.raises(UnsupportedProblemError, match="compositional"):
-            dsgd_run(p, build_ring(3), 5, lambda t: 0.1, sgd_eta(), 0, ListRecorder())
+            next(dsgd_run(p, build_ring(3), 5, lambda t: 0.1, sgd_eta(), 0))
 
     def test_cold_start_geometric_fill_in(self):
         # frozen x (alpha = 0), constant inner weight 1/2, exact oracle:
         # the inner estimate rebuilt at outer step t is (1 - 2^-t) * value
         p = make_policy_eval(1, 6, 3, gamma=0.5, lam=1.0, seed=2,
                              exact_oracle=True, homogeneous=True)
-        rec = ListRecorder()
-        dsgd_run(p, build_complete(1), 6, lambda t: 0.0, lambda i: 0.5, 0, rec)
+        rows = list(dsgd_run(p, build_complete(1), 6, lambda t: 0.0, lambda i: 0.5, 0))
         val = p.comp_value([0], np.zeros((1, 3)), None)[0, : p.d_y]
-        for t, _, ys, _, _ in rec.rows[1:]:
+        for t, _, ys, _, _ in rows[1:]:
             frac = 1.0 - 0.5 ** (t - 1)  # outer step t-1 ran t-1 inner steps
             assert np.allclose(ys[0], frac * val, atol=1e-12), f"row {t}"
 
     def test_sample_counters(self):
         p = make_policy_eval(2, 5, 2, gamma=0.5, lam=1.0, seed=3, exact_oracle=True)
-        rec = ListRecorder()
         t_total = 10
-        dsgd_run(p, build_complete(2), t_total, lambda t: 0.01, sgd_eta(), 0, rec)
-        _, _, _, zeta, xi = rec.rows[-1]
+        rows = list(dsgd_run(p, build_complete(2), t_total, lambda t: 0.01, sgd_eta(), 0))
+        _, _, _, zeta, xi = rows[-1]
         assert zeta == t_total
         assert xi == t_total * (t_total - 1) // 2 + t_total  # inner + jacobian draws
 
     def test_homogeneous_exact_oracle_converges(self):
         p = make_policy_eval(2, 10, 3, gamma=0.5, lam=1.0, seed=4,
                              exact_oracle=True, homogeneous=True)
-        rec = ListRecorder()
-        dsgd_run(p, build_complete(2), 120, lambda t: 0.3, sgd_eta(), 0, rec)
+        rows = list(dsgd_run(p, build_complete(2), 120, lambda t: 0.3, sgd_eta(), 0))
         x_star, _ = p.optimum()
-        xbar = rec.rows[-1][1].mean(axis=0)
+        xbar = rows[-1][1].mean(axis=0)
         assert float(np.sum((xbar - x_star) ** 2)) < 1e-8
 
     def test_lags_gossip_algorithm_at_matched_sample_budget(self):
@@ -336,25 +302,14 @@ class TestDsgd:
                                agent_round_streams(0, "oracle", 4, t))
         gossip_mse = float(np.sum((state.x.mean(axis=0) - x_star) ** 2))
         t_outer = 88  # 88*89/2 + 88 = 4004 draws per agent
-        rec = ListRecorder()
-        dsgd_run(het, w, t_outer, cap.alpha, sgd_eta(), 0, rec)
-        naive_mse = float(np.sum((rec.rows[-1][1].mean(axis=0) - x_star) ** 2))
+        rows = list(dsgd_run(het, w, t_outer, cap.alpha, sgd_eta(), 0))
+        naive_mse = float(np.sum((rows[-1][1].mean(axis=0) - x_star) ** 2))
         assert naive_mse > 20 * gossip_mse
 
     def test_deterministic_replay(self):
         p = make_policy_eval(3, 6, 2, gamma=0.5, lam=1.0, seed=6)
         traces = []
         for _ in range(2):
-            rec = ListRecorder()
-            dsgd_run(p, build_ring(3), 15, lambda t: 0.02, sgd_eta(), 31, rec)
-            traces.append(rec.rows)
+            traces.append(list(dsgd_run(p, build_ring(3), 15, lambda t: 0.02, sgd_eta(), 31)))
         for ra, rb in zip(*traces):
             assert np.array_equal(ra[1], rb[1]) and np.array_equal(ra[2], rb[2])
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_divergence_attaches_partial_trace(self):
-        p = make_policy_eval(2, 5, 2, gamma=0.5, lam=1.0, seed=7, exact_oracle=True)
-        rec = ListRecorder()
-        with pytest.raises(DivergenceError) as exc:
-            dsgd_run(p, build_complete(2), 40, lambda t: 1e200, sgd_eta(), 0, rec)
-        assert exc.value.trace is not None and len(exc.value.trace) >= 1

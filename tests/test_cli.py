@@ -314,6 +314,25 @@ class TestValidate:
         assert "FAIL construction" in out
 
 
+    @pytest.mark.parametrize("updates, message", [
+        ({"algorithm": "sgd"}, "unknown algorithm"),
+        ({"t_total": 0}, "t_total must be >= 1"),
+        ({"b": -3}, "b must be >= 0"),
+        ({"algorithm": "dsgd"}, "compositional"),
+        ({"t_total": 20, "schedule": {"regime": "constant", "c0": 0.1, "beta_scale": 10.0}},
+         "violates beta <= 1"),
+    ], ids=["unknown-algorithm", "zero-horizon", "negative-depth", "dsgd-on-quadratic",
+            "constant-beta-above-one"])
+    def test_rejects_what_run_rejects(self, tmp_path, capsys, updates, message):
+        cfg_path = write_config(tmp_path, updates)
+        code = main(["validate", "--config", cfg_path])
+        out = capsys.readouterr().out
+        assert code == EXIT_CONFIG
+        assert "FAIL construction (" in out and message in out
+        assert "all checks passed" not in out
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
 class TestPlotdata:
     def _make_traces(self, tmp_path, n=2, cadences=None):
         paths = []

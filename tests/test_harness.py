@@ -520,18 +520,24 @@ class TestRun:
         with pytest.raises(ConfigError, match=f"{key} must be >= 0"):
             run(quad_config(**{key: value}))
 
+    @pytest.mark.parametrize("algorithm", ["dsbo", "fedsbo", "dbsa", "dsgd"])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_divergence_carries_partial_trace(self):
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_carries_partial_trace(self, algorithm):
+        # run records every step it got before the failing round err.t
         cfg = quad_config(
-            t_total=50,
+            algorithm=algorithm, t_total=50, cadence=1,
+            problem=ProblemConfig(family="policy-eval", n_states=8, feat_dim=3, seed=4),
             schedule=ScheduleConfig(regime="constant", c0=1e200, beta_scale=1.0),
         )
         with pytest.raises(DivergenceError) as exc:
             run(cfg)
-        partial = exc.value.trace
-        assert isinstance(partial, Trace)
-        assert partial.header["config"]["t_total"] == 50
-        assert len(partial.records) >= 1
+        err = exc.value
+        assert isinstance(err.trace, Trace)
+        assert err.trace.header["config"]["algorithm"] == algorithm
+        assert err.trace.header["config"]["t_total"] == 50
+        assert err.trace.records.rows["t"].tolist() == list(range(err.t + 1))
+        assert err.t < 50
 
     def test_double_loop_counters_via_runner(self):
         trace = run(quad_config(algorithm="dbsa", t_total=12))
@@ -660,6 +666,19 @@ class TestHyperoptDataFile:
         ))
         assert [r.t for r in trace.records] == list(range(6))
         assert all(np.isfinite(r.subopt) for r in trace.records)
+
+
+    def test_rejects_single_class_labels(self, tmp_path):
+        # labels 1/2, as in LIBSVM's covtype.binary, all map to class 1
+        data = tmp_path / "data.libsvm"
+        self.write_libsvm(data)
+        relabel = {"-1": "1", "1": "2"}
+        lines = [line.split(" ", 1) for line in data.read_text(encoding="utf-8").splitlines()]
+        data.write_text("".join(f"{relabel[label]} {feats}\n" for label, feats in lines),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="maps to class 1") as exc:
+            build_problem(ProblemConfig(family="hyperopt", data_path=str(data)), k=4)
+        assert str(data) in str(exc.value) and "labels > 0 to 1" in str(exc.value)
 
 
 class TestSpeedupAnalysis:
