@@ -34,11 +34,20 @@ from .problems.base import DeferredRows, StochasticSample, matvec
 from .topology import MixingMatrix, gossip_mix
 
 _FIELDS = ("x", "y", "s", "h", "u", "v", "q")
+_MIX_BLOCK = 4096  # columns of v's (K, -1) view mixed per matrix product
+_MIN_BLOCK = 64  # a narrower last block joins the one before it
 
 
 @dataclass(frozen=True)
 class NetworkState:
-    """Every agent's iterates and estimators at one round; row k is agent k."""
+    """Every agent's iterates and estimators at one round; row k is agent k.
+
+    ``v`` is the one (K, b, d_y, d_y) stack of the run: ``round_step``
+    refreshes it in place and hands the same buffer to the next state, so a
+    round holds one v stack, one agent row of draws and a K x 4096 mixing
+    scratch: about 0.87 GB at the default hyperopt config (K=5,
+    b = 180,849, d_y=10).
+    """
 
     x: np.ndarray  # (K, d_x)
     y: np.ndarray  # (K, d_y)
@@ -219,32 +228,65 @@ def check_finite(arrays_by_field, t: int):
             raise DivergenceError(agent=agent, field=name, t=t)
 
 
+def _mix_scale_in_place(v: np.ndarray, mix, scale: float):
+    """Overwrite ``v`` with ``scale * gossip_mix(v, mix)``, one column block at a time.
+
+    ``v`` is a C-contiguous float64 stack with a leading agent axis.  Each
+    block of _MIX_BLOCK columns of its (K, -1) view is mixed into one
+    (K, block) scratch buffer and scaled back into place, so the only
+    temporary is the scratch, not a second stack.  A tail narrower than
+    _MIN_BLOCK columns joins the previous block: a one-column product is a
+    matrix-vector product and rounds differently.
+    """
+    flat = v.reshape(len(v), -1)
+    n = flat.shape[1]
+    scratch = np.empty((len(v), min(n, _MIX_BLOCK + _MIN_BLOCK - 1)))
+    lo = 0
+    while lo < n:
+        hi = n if n - lo < _MIX_BLOCK + _MIN_BLOCK else lo + _MIX_BLOCK
+        block = flat[:, lo:hi]
+        np.multiply(np.matmul(mix, block, out=scratch[:, :hi - lo]), scale, out=block)
+        lo = hi
+
+
 def round_step(state: NetworkState, mix, draws: StochasticSample, schedule: StepSchedule,
                t: int, l_g: float) -> NetworkState:
     """Advance every row of ``state`` one round; all reads see the round-t snapshot.
 
-    ``mix`` is the (K, K) gossip matrix and ``draws`` holds the oracle
-    draws stacked over the same K rows; neither is written.  Raises a
-    divergence error naming the first non-finite agent and field.
+    ``round_step`` consumes ``state.v``, like a donated buffer: the v stack
+    is mixed, scaled and refreshed in place, and the returned state holds
+    the same buffer.  So ``state.v`` must be a writeable, C-contiguous
+    float64 array the caller no longer reads (``ValueError`` otherwise),
+    and past the old state the round holds the new small fields, one agent
+    row of draws and a K x 4096 scratch, not a second v stack.  The other
+    fields of ``state``, the (K, K) gossip matrix ``mix`` and the oracle
+    ``draws`` stacked over the same K rows are not written.  Raises a
+    divergence error naming the first non-finite agent and field; ``v`` is
+    then already refreshed.
     """
+    v = state.v
+    if not (isinstance(v, np.ndarray) and v.dtype == np.float64
+            and v.flags.c_contiguous and v.flags.writeable):
+        raise ValueError("round_step refreshes state.v in place: it must be a writeable, "
+                         "C-contiguous float64 array")
+    hyy = draws.hyy_g_draws
+    if len(hyy) != len(v):
+        raise ValueError(f"{len(hyy)} rows of Hessian draws for {len(v)} agents")
     alpha, beta, gamma = schedule.alpha(t), schedule.beta(t), schedule.gamma(t)
     x = gossip_mix(state.x, mix) - alpha * hypergrad_estimate(state.s, state.u, state.q)
     y = gossip_mix(state.y, mix) - gamma * draws.gy_g
     s = (1.0 - beta) * gossip_mix(state.s, mix) + beta * draws.gx_f
     h = (1.0 - beta) * gossip_mix(state.h, mix) + beta * draws.gy_f
     u = (1.0 - beta) * gossip_mix(state.u, mix) + beta * draws.hxy_g
-    # The v stack is the round's largest array: refresh the fresh mixed
-    # buffer in place, one agent row of draws at a time, so the only
-    # temporary is one row.  Same products and sum as the other fields.
-    # A deferred row is built fresh for this read and scaled in place; an
-    # array row belongs to the caller and is scaled into a temporary.
-    # Index the draws by row and drop each before the next is built (a
-    # ``zip`` over the draws would keep the previous one alive meanwhile).
-    v = gossip_mix(state.v, mix)
-    v *= 1.0 - beta
-    hyy = draws.hyy_g_draws
-    if len(hyy) != len(v):
-        raise ValueError(f"{len(hyy)} rows of Hessian draws for {len(v)} agents")
+    # The v stack is the round's largest array.  The other fields have read
+    # the snapshot, so v is mixed and scaled in place, then the draws are
+    # added one agent row at a time: the same products and sum as the other
+    # fields, with one block of scratch and one row as the only
+    # temporaries.  A deferred row is built fresh for this read and scaled
+    # in place; an array row belongs to the caller and is scaled into a
+    # temporary.  Index the draws by row and drop each before the next is
+    # built (a ``zip`` over the draws would keep the previous one alive).
+    _mix_scale_in_place(v, mix, 1.0 - beta)
     deferred = isinstance(hyy, DeferredRows)
     for k, row in enumerate(v):
         draw = hyy[k]

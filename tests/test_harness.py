@@ -610,6 +610,12 @@ class TestThreadSettings:
             topology=TopologyConfig(kind="ring", k=3),
             schedule=ScheduleConfig(regime="capped"),
         ),
+        "quadratic-k33": RunConfig(
+            algorithm="dsbo", t_total=10, b=1, seed=3,
+            problem=ProblemConfig(family="quadratic", d_x=5, d_y=50, sigma_g=0.01, seed=5),
+            topology=TopologyConfig(kind="ring", k=33),
+            schedule=ScheduleConfig(regime="capped"),
+        ),
     }
 
     @staticmethod
@@ -625,7 +631,13 @@ class TestThreadSettings:
         )
         return done.stdout.strip()
 
-    @pytest.mark.parametrize("family", CONFIGS)
+    @pytest.mark.parametrize("family", [
+        "policy-eval", "hyperopt",
+        # At K >= 16 how OpenBLAS splits gossip_mix's product across threads
+        # changes its rounding, so these bytes depend on the thread count.
+        pytest.param("quadratic-k33", marks=pytest.mark.xfail(
+            strict=True, reason="gossip_mix rounds by OpenBLAS thread split at K >= 16")),
+    ])
     def test_thread_setting_does_not_change_bytes(self, family):
         cfg = self.CONFIGS[family]
         one, two = self.csv_sha1(cfg, 1), self.csv_sha1(cfg, 2)
