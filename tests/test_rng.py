@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dsbo import agent_round_streams, stream
+from dsbo.rng import _prefix_pool
 
 
 class TestStream:
@@ -138,6 +139,39 @@ def test_batched_pinned_to_seed_sequence_derivation(seed):
     assert len(got) == column.size**2
     for gen, (a, b) in zip(got, itertools.product(column.tolist(), repeat=2)):
         assert gen.bit_generator.state == _seed_sequence_state(seed, "oracle", a, wide, b), (a, b)
+
+
+@pytest.mark.parametrize("seed", [2**128 + 7, 2**160 + 3])
+def test_pinned_seeds_of_five_or_more_words(seed):
+    # five and six seed words: the key words start past the four words that
+    # SeedSequence pads a short seed to
+    for key in ((), (3,), (2**40, 1)):
+        assert stream(seed, "oracle", *key).bit_generator.state == (
+            _seed_sequence_state(seed, "oracle", *key)), key
+    batch = stream(seed, "oracle", np.arange(3), 9)
+    assert len(batch) == 3
+    for agent, gen in enumerate(batch):
+        assert gen.bit_generator.state == _seed_sequence_state(seed, "oracle", agent, 9), agent
+
+
+def test_streams_share_one_cached_prefix(monkeypatch):
+    # one SeedSequence per stream costs several times the batched mix, so a
+    # round builds at most one, for its (seed, purpose) prefix, and a later
+    # round reuses it
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    _prefix_pool.cache_clear()
+    assert len(stream(17, "oracle", np.arange(20), 4)) == 20
+    assert len(built) <= 1
+    built.clear()
+    assert len(stream(17, "oracle", np.arange(20), 5)) == 20
+    assert built == []
 
 
 _KEYS = st.integers(0, 2**64 - 1)
