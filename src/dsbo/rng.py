@@ -10,14 +10,16 @@ what makes runs byte-identical regardless of evaluation order.
 A stream's bits are those of numpy's ``default_rng(SeedSequence(
 entropy=master_seed, spawn_key=(crc32(purpose), *key)))``.  SeedSequence
 (O'Neill's ``seed_seq`` design, the seeding of PCG) hashes its entropy
-words into a four-word pool, then hashes the pool into the generator's
-seed words.  Its hash constants do not depend on the data, so this module
-reimplements the mix over arrays: the (seed, purpose) words are mixed
-once in Python ints and cached, and each key word is mixed into an
+words into a four-word pool, one word after another, then hashes the pool
+into the generator's seed words.  numpy mixes the (seed, purpose) words: a
+``SeedSequence`` built once per (seed, purpose) pair, whose pool is cached.
+This module mixes only the key words.  SeedSequence's hash constants do not
+depend on the data, so the key words of many streams are mixed into an
 ``(N, 4)`` pool with a few uint32 ufuncs.  A key part may be an integer
 array; ``stream`` then derives every element's stream in one pass and
-returns one generator per element.  ``tests/test_rng.py`` pins the bits
-to SeedSequence's.
+returns one generator per element.  An array holding a value of 2**32 or
+more derives its elements one at a time, because such a value takes two
+words.  ``tests/test_rng.py`` pins the bits to SeedSequence's.
 
 The generators carry a seed object that cannot spawn, so
 ``Generator.spawn`` raises ``TypeError``; derive a stream under a new key
@@ -27,6 +29,7 @@ instead.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import zlib
 
@@ -48,64 +51,21 @@ _XSHIFT = 16
 _STATE_CYCLE = np.tile(np.arange(_POOL_WORDS), 2)
 
 
-def _multiplier(init: int, mult: int, steps: int) -> int:
-    """A hash multiplier after ``steps`` steps: init * mult**steps mod 2**32."""
-    return init * pow(mult, steps, 1 << 32) & _MASK32
-
-
-def _hash(value: int, xor: int, mul: int) -> int:
-    """One hash step of SeedSequence's entropy mix."""
-    h = (value ^ xor) * mul & _MASK32
-    return h ^ (h >> _XSHIFT)
-
-
-def _hashmix(value: int, step: int) -> int:
-    """Hash step ``step``: it xors with the multiplier after ``step`` steps
-    and multiplies by the next one."""
-    xor = _multiplier(_INIT_A, _MULT_A, step)
-    return _hash(value, xor, xor * _MULT_A & _MASK32)
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return r ^ (r >> _XSHIFT)
-
-
-def _u32(values) -> np.ndarray:
-    return np.array(values, dtype=np.uint32)
-
-
-# The output hash: step i xors pool word i mod 4 with the multiplier after
-# i steps and multiplies it by the next one.
-_STATE_XOR = _u32([_multiplier(_INIT_B, _MULT_B, i) for i in range(len(_STATE_CYCLE))])
-_STATE_MUL = _u32([_multiplier(_INIT_B, _MULT_B, i + 1) for i in range(len(_STATE_CYCLE))])
-_U32_MIX_L, _U32_MIX_R, _U32_SHIFT = _u32([_MIX_MULT_L, _MIX_MULT_R, _XSHIFT])
-
-
 @functools.lru_cache(maxsize=None)
-def _word_multipliers(position: int) -> tuple[int, ...]:
-    """The multipliers that hash entropy word ``position``.
-
-    SeedSequence spends 16 hash steps on the first four words, then four
-    per later word, one per pool word: steps 4p .. 4p+3 for word p >= 4.
-    Step 4p + i xors with element i and multiplies by element i + 1.
-    """
-    first = _POOL_WORDS * position
-    return tuple(_multiplier(_INIT_A, _MULT_A, first + i) for i in range(_POOL_WORDS + 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _word_consts(position: int) -> tuple[np.ndarray, np.ndarray]:
-    mults = _word_multipliers(position)
-    consts = _u32(mults[:-1]), _u32(mults[1:])
+def _multipliers(init: int, mult: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, mul) of hash steps ``first`` .. ``first + count - 1``: step i
+    xors with init * mult**i mod 2**32 and multiplies by the next power."""
+    mults = [init * pow(mult, first + i, 1 << 32) & _MASK32 for i in range(count + 1)]
+    consts = np.array(mults[:-1], dtype=np.uint32), np.array(mults[1:], dtype=np.uint32)
     for arr in consts:
         arr.setflags(write=False)  # cached and shared by every call
     return consts
 
 
-def _purpose_id(purpose: str) -> int:
-    # crc32 is stable across platforms and Python versions.
-    return zlib.crc32(purpose.encode("utf-8"))
+# The output hash: step i hashes pool word i mod 4.
+_STATE_XOR, _STATE_MUL = _multipliers(_INIT_B, _MULT_B, 0, len(_STATE_CYCLE))
+_U32_MIX_L, _U32_MIX_R, _U32_SHIFT = np.array([_MIX_MULT_L, _MIX_MULT_R, _XSHIFT],
+                                              dtype=np.uint32)
 
 
 def _words(n: int) -> list[int]:
@@ -118,15 +78,8 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _mix_word(pool: list[int], word: int, position: int) -> None:
-    """Mix entropy word ``position`` (>= 4) into a pool of Python ints."""
-    mults = _word_multipliers(position)
-    for dst in range(_POOL_WORDS):
-        pool[dst] = _mix(pool[dst], _hash(word, mults[dst], mults[dst + 1]))
-
-
 @functools.lru_cache(maxsize=256)
-def _prefix_pool(master_seed: int, purpose: str) -> tuple[tuple[int, ...], int]:
+def _prefix_pool(master_seed: int, purpose: str) -> tuple[np.ndarray, int]:
     """SeedSequence's pool after the (seed, purpose) words, and their count.
 
     SeedSequence zero-pads the seed's words to the pool size before it
@@ -134,51 +87,34 @@ def _prefix_pool(master_seed: int, purpose: str) -> tuple[tuple[int, ...], int]:
     always more than four words, so key words only take the per-word
     branch of the mix.
     """
-    entropy = _words(master_seed)
-    entropy += [0] * (_POOL_WORDS - len(entropy))
-    entropy += _words(_purpose_id(purpose))
-    pool = [_hashmix(entropy[i], i) for i in range(_POOL_WORDS)]
-    step = _POOL_WORDS
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], step))
-                step += 1
-    for position in range(_POOL_WORDS, len(entropy)):
-        _mix_word(pool, entropy[position], position)
-    return tuple(pool), len(entropy)
+    # crc32 is stable across platforms and Python versions.
+    purpose_id = zlib.crc32(purpose.encode("utf-8"))
+    pool = np.random.SeedSequence(master_seed, spawn_key=(purpose_id,)).pool
+    pool.setflags(write=False)  # cached and shared by every call
+    return pool, max(_POOL_WORDS, len(_words(master_seed))) + 1
 
 
-def _seed_words(prefix: tuple[int, ...], position: int, columns, n: int) -> np.ndarray:
+def _seed_words(pool: np.ndarray, position: int, columns) -> np.ndarray:
     """Mix key-word columns into a prefix pool; PCG64's seed words per row.
 
-    Each column is a word every row shares (an int) or one word per row
-    (uint32, shape (n, 1)); they are mixed in order from entropy word
-    ``position`` on.  Returns (n, 4) uint64: what ``SeedSequence.
+    Each column is a word every row shares (an int) or a uint32 array of
+    one word per row, with a trailing axis of length 1; the array columns
+    broadcast together, and their rows are taken in C order.  Columns are
+    mixed in order from entropy word ``position`` on.  Returns (n, 4)
+    uint64, with n = 1 when no column is an array: what ``SeedSequence.
     generate_state(4, np.uint64)`` returns for each row's entropy.
     """
-    # Shared words ahead of the first per-row column mix in Python ints.
-    pool = list(prefix)
-    lead = 0
-    while lead < len(columns) and isinstance(columns[lead], int):
-        _mix_word(pool, columns[lead], position + lead)
-        lead += 1
-    pool = _u32(pool)
-    for offset in range(lead, len(columns)):
-        col = columns[offset]
-        if isinstance(col, int):
-            mults = _word_multipliers(position + offset)
-            h = _u32([_hash(col, mults[dst], mults[dst + 1]) * _MIX_MULT_R & _MASK32
-                      for dst in range(_POOL_WORDS)])
-        else:
-            xor, mul = _word_consts(position + offset)
-            h = col ^ xor
-            h *= mul
-            h ^= h >> _U32_SHIFT
-            h *= _U32_MIX_R
+    for offset, col in enumerate(columns):
+        # SeedSequence spends 16 hash steps on the first four words, then
+        # four per later word p, one per pool word: steps 4p .. 4p+3.
+        xor, mul = _multipliers(_INIT_A, _MULT_A, _POOL_WORDS * (position + offset), _POOL_WORDS)
+        h = col ^ xor
+        h *= mul
+        h ^= h >> _U32_SHIFT
+        h *= _U32_MIX_R
         pool = _U32_MIX_L * pool - h
         pool ^= pool >> _U32_SHIFT
-    state = pool.take(_STATE_CYCLE, axis=-1).reshape(n, len(_STATE_CYCLE))
+    state = pool.take(_STATE_CYCLE, axis=-1).reshape(-1, len(_STATE_CYCLE))
     state ^= _STATE_XOR
     state *= _STATE_MUL
     state ^= state >> _U32_SHIFT
@@ -203,11 +139,6 @@ class _SeedWords(ISeedSequence):
         if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("a derived stream holds exactly PCG64's four uint64 seed words")
         return self._words
-
-
-def _generators(seed_words: np.ndarray) -> list[np.random.Generator]:
-    generator, pcg64 = np.random.Generator, np.random.PCG64
-    return [generator(pcg64(_SeedWords(words))) for words in seed_words]
 
 
 def _index(value) -> int:
@@ -247,42 +178,23 @@ def stream(
     pool, position = _prefix_pool(_index(master_seed), purpose)
     parts = [_key_part(k) for k in key]
     arrays = [p for p in parts if isinstance(p, np.ndarray)]
-    if not arrays:
-        columns = [word for p in parts for word in _words(p)]
-        return _generators(_seed_words(pool, position, columns, 1))[0]
-
-    broadcast = np.broadcast(*arrays)
-    shape, n = broadcast.shape, broadcast.size
-    flat = {
-        j: (p if p.shape == shape else np.broadcast_to(p, shape)).reshape(n, 1)
-        for j, p in enumerate(parts) if isinstance(p, np.ndarray)
-    }
-    shared = {j: _words(p) for j, p in enumerate(parts) if j not in flat}
-
-    def derive(rows, count: int, wide: int):
-        # ``wide`` has bit j set when part j takes two uint32 words in rows.
-        columns = []
-        for j in range(len(parts)):
-            if j in shared:
-                columns += shared[j]
-                continue
-            values = flat[j][rows]
-            columns.append(values.astype(np.uint32))
-            if wide >> j & 1:
-                columns.append((values.astype(np.uint64) >> np.uint64(32)).astype(np.uint32))
-        return _generators(_seed_words(pool, position, columns, count))
-
-    if n == 0 or all(a.max() <= _MASK32 for a in arrays):
-        return derive(slice(None), n, 0)
-    # Values of 2**32 or more take two words, so rows differ in word count;
-    # rows with the same layout are derived together.
-    layout = sum((flat[j][:, 0] > _MASK32).astype(np.int64) << j for j in flat)
-    out = [None] * n
-    for wide in np.unique(layout):
-        rows = np.flatnonzero(layout == wide)
-        for r, gen in zip(rows, derive(rows, rows.size, int(wide))):
-            out[r] = gen
-    return out
+    if any(a.size and a.max() > _MASK32 for a in arrays):
+        # A value of 2**32 or more takes two words, so rows would differ in
+        # word count; each row is derived on its own.
+        shape = np.broadcast(*arrays).shape
+        rows = zip(*(np.broadcast_to(p, shape).flat if isinstance(p, np.ndarray)
+                     else itertools.repeat(p) for p in parts))
+        return [stream(master_seed, purpose, *row) for row in rows]
+    columns = []
+    for p in parts:
+        if isinstance(p, np.ndarray):
+            columns.append(p.astype(np.uint32)[..., None])
+        else:
+            columns += _words(p)
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    generators = [generator(pcg64(_SeedWords(words)))
+                  for words in _seed_words(pool, position, columns)]
+    return generators if arrays else generators[0]
 
 
 def agent_round_streams(
