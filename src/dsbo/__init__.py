@@ -42,7 +42,6 @@ from .harness import (
     build_topology,
     load_config,
     loglog_slope,
-    make_schedule,
     mean_grad_norm,
     read_trace,
     run,

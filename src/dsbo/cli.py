@@ -29,7 +29,6 @@ from .harness import (
     RunConfig,
     Trace,
     TRACE_COLUMNS,
-    build_topology,
     load_config,
     read_trace,
     samples_to_eps_table,
@@ -208,16 +207,16 @@ def cmd_validate(args) -> int:
         if not ok:
             failures.append(name)
 
-    # MixingMatrix and ProblemConstants enforce symmetry, double
-    # stochasticity and the curvature bounds by raising here, and
-    # check_run rejects every config that run rejects
+    # check_run rejects every config that run rejects: MixingMatrix and
+    # ProblemConstants enforce symmetry, double stochasticity and the
+    # curvature bounds by raising here
     try:
-        w = build_topology(cfg.topology)
-        problem, _ = harness.check_run(cfg)
+        problem, _, w, _, _ = harness.check_run(cfg)
     except ConfigError as err:
         print(f"FAIL construction ({type(err).__name__}): {err}")
         return EXIT_CONFIG
-    report("contraction-factor", w.rho < 1.0, f"rho = {w.rho:.6g}")
+    if w is not None:  # fedsbo's star network has no mixing matrix
+        report("contraction-factor", w.rho < 1.0, f"rho = {w.rho:.6g}")
     _check_spectral_safety(problem, cfg.seed, report)
     _smoke_unbiasedness(problem, cfg.seed, report)
     if failures:

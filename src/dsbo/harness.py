@@ -147,13 +147,18 @@ class RunConfig:
         return _config_from_dict(cls, data, path="")
 
     def apply_overrides(self, pairs) -> "RunConfig":
-        """Return a copy with dotted-key overrides applied, type-checked."""
+        """Return a copy with dotted-key overrides applied; ``from_dict``
+        checks each key and coerces each value, as for a config file."""
         data = self.to_dict()
         for pair in pairs:
-            key, sep, raw = pair.partition("=")
+            key, sep, raw = (part.strip() for part in pair.partition("="))
             if not sep or not key:
                 raise ConfigError(f"override must look like section.key=value, got {pair!r}")
-            _apply_override(data, key.strip(), raw.strip())
+            section, _, name = key.rpartition(".")
+            if isinstance(data.get(section), dict):
+                data[section][name] = raw
+            else:  # a top-level key, or one from_dict rejects by its dotted name
+                data[key] = raw
         return RunConfig.from_dict(data)
 
 
@@ -211,20 +216,6 @@ def _config_from_dict(cls, data, path: str):
 def _field_type(cls, name: str):
     hint = {f.name: f.type for f in dataclasses.fields(cls)}[name]
     return {"int": int, "float": float, "str": str, "bool": bool}.get(hint, hint)
-
-
-def _apply_override(data: dict, dotted: str, raw: str):
-    parts = dotted.split(".")
-    if len(parts) == 1:
-        cls, section, key = RunConfig, data, parts[0]
-    elif len(parts) == 2 and parts[0] in _SECTIONS:
-        cls, section, key = _SECTIONS[parts[0]], data.setdefault(parts[0], {}), parts[1]
-    else:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    names = {f.name for f in dataclasses.fields(cls)} - set(_SECTIONS if cls is RunConfig else ())
-    if key not in names:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    section[key] = _coerce(raw, _field_type(cls, key), dotted)
 
 
 def load_config(path: str) -> RunConfig:
@@ -470,27 +461,6 @@ class Recorder:
 # Builders
 
 
-# The constants each step-size regime reads (see StepSchedule).
-_REGIME_CONSTANTS = {
-    "constant": ("c0", "beta_scale"),
-    "diminishing": ("c1", "mu"),
-    "capped": ("alpha_cap", "alpha_num", "beta_cap", "beta_num"),
-}
-
-
-def make_schedule(regime: str, constants: dict, k: int, t_total: int) -> StepSchedule:
-    """Build a step schedule from a constants mapping (see StepSchedule).
-
-    Constants that the regime does not read are rejected.
-    """
-    if regime not in _REGIME_CONSTANTS:
-        raise ConfigError(f"unknown schedule regime {regime!r}")
-    extra = set(constants) - set(_REGIME_CONSTANTS[regime])
-    if extra:
-        raise ConfigError(f"constants {sorted(extra)} do not apply to the {regime} regime")
-    return StepSchedule(regime=regime, k=k, t_total=t_total, **constants)
-
-
 def build_topology(cfg: TopologyConfig) -> MixingMatrix:
     if cfg.kind == "ring":
         return build_ring(cfg.k)
@@ -503,7 +473,7 @@ def build_topology(cfg: TopologyConfig) -> MixingMatrix:
             weights = np.loadtxt(cfg.weights_path, ndmin=2)
         except (OSError, ValueError) as err:
             raise ConfigError(f"cannot load weights from {cfg.weights_path!r}: {err}") from err
-        w = build_custom(weights, require_connected=True)
+        w = build_custom(weights)
         if w.k != cfg.k:
             raise ConfigError(
                 f"custom weights are {w.k}x{w.k} but topology.k = {cfg.k}"
@@ -543,22 +513,18 @@ def build_problem(cfg: ProblemConfig, k: int):
         if labels.min() == labels.max():
             raise ConfigError(f"every label in {cfg.data_path!r} maps to class {labels[0]:g} "
                               "(labels <= 0 map to 0, labels > 0 to 1); it needs both classes")
-        rows = list(zip(features, labels))
         datasets = []
-        for shard in split_partition(rows, k, cfg.seed):
+        for shard in split_partition(range(len(labels)), k, cfg.seed):
             train, val = train_val_split(shard, cfg.seed + 1, fraction=1.0 - cfg.val_fraction)
-            datasets.append(tuple(
-                (np.stack([w for w, _ in part]), np.array([z for _, z in part]))
-                for part in (train, val)
-            ))
+            datasets.append(((features[train], labels[train]), (features[val], labels[val])))
         return make_hyperopt(k, datasets, reg_floor=cfg.reg_floor, minibatch=cfg.minibatch)
     raise ConfigError(f"unknown problem family {cfg.family!r} (expected one of {FAMILIES})")
 
 
 def schedule_from_config(cfg: ScheduleConfig, k: int, t_total: int) -> StepSchedule:
-    """The schedule of ``cfg.regime``, built from the constants it reads."""
-    names = _REGIME_CONSTANTS.get(cfg.regime, ())
-    return make_schedule(cfg.regime, {n: getattr(cfg, n) for n in names}, k, t_total)
+    """The step schedule of ``cfg``; ``StepSchedule`` checks the regime and
+    the constants it reads."""
+    return StepSchedule(k=k, t_total=t_total, **vars(cfg))
 
 
 def resolve_reference(problem) -> tuple[np.ndarray, float, str]:
@@ -603,7 +569,11 @@ def default_cadence(t_total: int) -> int:
 
 def check_run(config: RunConfig):
     """Reject any config ``run`` rejects, before the reference solve, and
-    return the (problem, schedule) it builds for the run."""
+    build what the run needs: ``(problem, schedule, w, b, cadence)``.
+
+    ``w`` is the mixing matrix, None for fedsbo's star network, and ``b``
+    and ``cadence`` are resolved from their 0 defaults.
+    """
     if config.algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r} (expected one of {ALGORITHMS})")
     if config.t_total < 1:
@@ -612,10 +582,14 @@ def check_run(config: RunConfig):
         if getattr(config, name) < 0:
             raise ConfigError(f"{name} must be >= 0 (0 derives it), got {getattr(config, name)}")
     k = config.topology.k
+    w = None if config.algorithm == "fedsbo" else build_topology(config.topology)
     problem = build_problem(config.problem, k)
     if config.algorithm == "dsgd":
         check_compositional(problem)
-    return problem, schedule_from_config(config.schedule, k, config.t_total)
+    schedule = schedule_from_config(config.schedule, k, config.t_total)
+    b = config.b or default_b(max(config.t_total, 2), problem.constants.kappa_g)
+    cadence = config.cadence or default_cadence(config.t_total)
+    return problem, schedule, w, b, cadence
 
 
 def _round_steps(config: RunConfig, problem, w, schedule: StepSchedule, b: int):
@@ -638,14 +612,8 @@ def run(config: RunConfig) -> Trace:
     Raises the algorithm's divergence error with the partial trace
     attached (``err.trace``) if any iterate stops being finite.
     """
-    problem, schedule = check_run(config)
-    b = config.b if config.b > 0 else default_b(
-        max(config.t_total, 2), problem.constants.kappa_g
-    )
-    cadence = config.cadence if config.cadence > 0 else default_cadence(config.t_total)
+    problem, schedule, w, b, cadence = check_run(config)
     x_star, f_star, ref_kind = resolve_reference(problem)
-    # the star network of fedsbo has no mixing matrix
-    w = None if config.algorithm == "fedsbo" else build_topology(config.topology)
 
     header = {
         "config": dict(config.to_dict(), b=b, cadence=cadence),

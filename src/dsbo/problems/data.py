@@ -7,13 +7,13 @@ import numpy as np
 from ..errors import ConfigError, DataFormatError
 
 
-def parse_libsvm(stream, negative_label: float | None = None) -> list[tuple[int, dict[int, float]]]:
+def parse_libsvm(stream) -> list[tuple[int, dict[int, float]]]:
     """Parse LIBSVM-format text into (binary label, sparse feature map) pairs.
 
     ``stream`` is an iterable of lines (an open file works).  Labels at or
-    below zero, or equal to ``negative_label``, map to 0; everything else
-    maps to 1.  Feature indices are 1-based and must strictly increase
-    within a line.  Blank lines are skipped.
+    below zero map to 0; everything else maps to 1.  Feature indices are
+    1-based and must strictly increase within a line.  Blank lines are
+    skipped.
     """
     if isinstance(stream, str):
         stream = stream.splitlines(keepends=True)
@@ -27,10 +27,7 @@ def parse_libsvm(stream, negative_label: float | None = None) -> list[tuple[int,
             label_value = float(tokens[0])
         except ValueError:
             raise DataFormatError(f"label {tokens[0]!r} is not numeric", line=lineno) from None
-        if label_value <= 0 or (negative_label is not None and label_value == negative_label):
-            label = 0
-        else:
-            label = 1
+        label = 0 if label_value <= 0 else 1
         features: dict[int, float] = {}
         prev_index = 0
         for token in tokens[1:]:

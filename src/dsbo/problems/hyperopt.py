@@ -249,16 +249,10 @@ def make_synthetic_hyperopt(
     features = rng.standard_normal((n_points, dim))
     truth = rng.standard_normal(dim)
     labels = (rng.random(n_points) < sigmoid(features @ truth)).astype(float)
-    items = list(zip(features, labels))
-    train_items, val_items = train_val_split(items, seed=seed, fraction=1.0 - val_fraction)
-    datasets = []
-    for tr, va in zip(
-        split_partition(train_items, k, seed=seed + 1),
-        split_partition(val_items, k, seed=seed + 2),
-    ):
-        tr_w = np.stack([w for w, _ in tr])
-        tr_z = np.array([z for _, z in tr])
-        va_w = np.stack([w for w, _ in va])
-        va_z = np.array([z for _, z in va])
-        datasets.append(((tr_w, tr_z), (va_w, va_z)))
+    train, val = train_val_split(range(n_points), seed=seed, fraction=1.0 - val_fraction)
+    datasets = [
+        ((features[tr], labels[tr]), (features[va], labels[va]))
+        for tr, va in zip(split_partition(train, k, seed=seed + 1),
+                          split_partition(val, k, seed=seed + 2))
+    ]
     return make_hyperopt(k, datasets, reg_floor=reg_floor, minibatch=minibatch)

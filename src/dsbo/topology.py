@@ -13,7 +13,6 @@ mixing at all (disconnected, e.g. the identity).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,23 +97,14 @@ def build_complete(k: int) -> MixingMatrix:
     return MixingMatrix(np.full((k, k), 1.0 / k))
 
 
-def build_custom(weights, require_connected: bool = False) -> MixingMatrix:
-    """Validate and wrap a user-supplied matrix (e.g. loaded from JSON).
+def build_custom(weights) -> MixingMatrix:
+    """Validate and wrap a user-supplied matrix (e.g. loaded from a file).
 
-    With ``require_connected`` a non-contracting matrix (rho >= 1) is an
-    error; otherwise it is accepted with a warning.
+    A non-contracting matrix (rho >= 1) does not mix and is an error.
     """
     w = MixingMatrix(weights)
     if w.rho >= 1.0 - 1e-12:
-        if require_connected:
-            raise DisconnectedTopologyError(
-                f"rho = {w.rho:.6f} >= 1: matrix does not mix but topology was "
-                "declared connected"
-            )
-        warnings.warn(
-            f"mixing matrix has rho = {w.rho:.6f} >= 1 (no contraction)",
-            stacklevel=2,
-        )
+        raise DisconnectedTopologyError(f"rho = {w.rho:.6f} >= 1: the matrix does not mix")
     return w
 
 

@@ -314,6 +314,16 @@ class TestValidate:
         assert "FAIL construction" in out
 
 
+    def test_fedsbo_ignores_the_gossip_topology(self, tmp_path, capsys):
+        # fedsbo runs on a star: a 2-agent ring, which gossip rejects, is no error
+        cfg_path = write_config(tmp_path, {"algorithm": "fedsbo",
+                                           "topology": {"kind": "ring", "k": 2}})
+        assert main(["validate", "--config", cfg_path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "all checks passed" in out and "contraction-factor" not in out
+        assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_OK
+
     @pytest.mark.parametrize("updates, message", [
         ({"algorithm": "sgd"}, "unknown algorithm"),
         ({"t_total": 0}, "t_total must be >= 1"),

@@ -29,22 +29,27 @@ from dsbo import (
     Recorder,
     TopologyConfig,
     Trace,
+    TopologyError,
     TraceRecord,
     TRACE_COLUMNS,
     build_problem,
+    densify,
     load_config,
     loglog_slope,
     make_quadratic,
-    make_schedule,
     mean_grad_norm,
+    parse_libsvm,
     read_trace,
     run,
     samples_to_eps,
     speedup_analysis,
+    split_partition,
     trace_to_csv,
+    train_val_split,
     write_trace,
 )
-from dsbo.harness import TRACE_DTYPE, default_cadence, resolve_reference
+from dsbo.harness import (TRACE_DTYPE, check_run, default_cadence, resolve_reference,
+                          schedule_from_config)
 
 
 def rec(t, **kw):
@@ -72,29 +77,26 @@ def quad_config(**kw):
 
 class TestMakeSchedule:
     def test_constant_example(self):
-        s = make_schedule("constant", {"c0": 0.1}, k=4, t_total=100)
+        s = schedule_from_config(ScheduleConfig(regime="constant", c0=0.1), k=4, t_total=100)
         assert s.alpha(3) == pytest.approx(0.02)
         assert s.beta(3) == pytest.approx(0.2)
 
     def test_diminishing_example(self):
-        s = make_schedule("diminishing", {"c1": 50.0, "mu": 1.0}, k=4, t_total=100)
+        s = schedule_from_config(ScheduleConfig(regime="diminishing", c1=50.0, mu=1.0),
+                                 k=4, t_total=100)
         assert s.alpha(0) == pytest.approx(0.04)
         assert s.beta(0) == 1.0
 
     def test_capped_example(self):
-        s = make_schedule("capped", {"alpha_cap": 0.01, "alpha_num": 2.0,
-                                     "beta_cap": 0.5, "beta_num": 50.0},
-                          k=5, t_total=100)
+        s = schedule_from_config(ScheduleConfig(regime="capped", alpha_cap=0.01, alpha_num=2.0,
+                                                beta_cap=0.5, beta_num=50.0),
+                                 k=5, t_total=100)
         assert s.alpha(400) == pytest.approx(0.005)
         assert s.beta(400) == pytest.approx(0.125)
 
-    def test_rejects_cross_regime_constants(self):
-        with pytest.raises(ConfigError, match="do not apply"):
-            make_schedule("constant", {"c0": 0.1, "c1": 50.0}, k=4, t_total=100)
-
     def test_rejects_unknown_regime(self):
         with pytest.raises(ConfigError, match="regime"):
-            make_schedule("linear", {}, k=4, t_total=100)
+            schedule_from_config(ScheduleConfig(regime="linear"), k=4, t_total=100)
 
 
 class TestConfig:
@@ -584,6 +586,17 @@ class TestRun:
         with pytest.raises(ConfigError, match="compositional"):
             run(quad_config(algorithm="dsgd"))
 
+    def test_bad_topology_rejected_before_reference_solve(self, monkeypatch):
+        def no_solve(problem):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr(dsbo.harness, "resolve_reference", no_solve)
+        cfg = quad_config(topology=TopologyConfig(kind="ring", k=2))
+        with pytest.raises(TopologyError, match="k >= 3"):
+            check_run(cfg)
+        with pytest.raises(TopologyError, match="k >= 3"):
+            run(cfg)
+
 
 # Runs the RunConfig given as JSON in argv[1] and prints its CSV's SHA-1.
 _SHA1_SCRIPT = """
@@ -679,6 +692,30 @@ class TestHyperoptDataFile:
         assert [r.t for r in trace.records] == list(range(6))
         assert all(np.isfinite(r.subopt) for r in trace.records)
 
+
+    def test_shards_match_row_tuple_reference(self, tmp_path):
+        # reference: rows zipped into (features, label) tuples, sharded,
+        # split, then stacked per part; 43 rows give uneven shards
+        data = tmp_path / "data.libsvm"
+        self.write_libsvm(data, n_rows=43)
+        cfg = ProblemConfig(family="hyperopt", data_path=str(data), seed=3, val_fraction=0.3)
+        problem = build_problem(cfg, k=4)
+        with open(data, encoding="utf-8") as fh:
+            features, labels = densify(parse_libsvm(fh))
+        parts = {"train": [], "val": []}
+        for shard in split_partition(list(zip(features, labels)), 4, cfg.seed):
+            split = train_val_split(shard, cfg.seed + 1, fraction=1.0 - cfg.val_fraction)
+            for name, part in zip(parts, split):
+                parts[name].append((np.stack([w for w, _ in part]), np.array([z for _, z in part])))
+        for name, shards in parts.items():
+            sizes = [len(z) for _, z in shards]
+            np.testing.assert_array_equal(getattr(problem, f"_{name}_size"), sizes)
+            np.testing.assert_array_equal(getattr(problem, f"_{name}_start"),
+                                          np.cumsum([0] + sizes[:-1]))
+            np.testing.assert_array_equal(getattr(problem, f"_{name}_w"),
+                                          np.concatenate([w for w, _ in shards]))
+            np.testing.assert_array_equal(getattr(problem, f"_{name}_z"),
+                                          np.concatenate([z for _, z in shards]))
 
     def test_rejects_single_class_labels(self, tmp_path):
         # labels 1/2, as in LIBSVM's covtype.binary, all map to class 1

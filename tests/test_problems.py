@@ -659,10 +659,6 @@ class TestParseLibsvm:
     def test_negative_label_maps_to_zero(self):
         assert parse_libsvm("-1 2:1\n") == [(0, {2: 1.0})]
 
-    def test_custom_negative_label(self):
-        assert parse_libsvm("2 1:1\n4 1:1\n", negative_label=2) == [
-            (0, {1: 1.0}), (1, {1: 1.0})]
-
     def test_nonincreasing_indices_error(self):
         with pytest.raises(DataFormatError, match="line 1"):
             parse_libsvm("1 3:1 2:4\n")

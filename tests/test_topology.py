@@ -94,21 +94,16 @@ class TestBuildCustom:
         with pytest.raises(NotDoublyStochasticError):
             build_custom(mat)
 
-    def test_identity_warns_but_builds(self):
-        with pytest.warns(UserWarning):
-            w = build_custom(np.eye(3))
-        assert w.rho == pytest.approx(1.0)
-
     def test_identity_with_require_connected_raises(self):
         with pytest.raises(DisconnectedTopologyError):
-            build_custom(np.eye(3), require_connected=True)
+            build_custom(np.eye(3))
 
     def test_block_diagonal_disconnected(self):
         mat = np.zeros((4, 4))
         mat[:2, :2] = 0.5
         mat[2:, 2:] = 0.5
         with pytest.raises(DisconnectedTopologyError):
-            build_custom(mat, require_connected=True)
+            build_custom(mat)
 
     def test_tolerates_tiny_rounding(self):
         mat = np.array([[0.5, 0.5], [0.5, 0.5]]) + 1e-13
