@@ -60,7 +60,6 @@ from .problems import (
     QuadraticBilevel,
     StochasticSample,
     densify,
-    make_hyperopt,
     make_policy_eval,
     make_quadratic,
     make_synthetic_hyperopt,

@@ -208,15 +208,13 @@ def cmd_validate(args) -> int:
             failures.append(name)
 
     # check_run rejects every config that run rejects: MixingMatrix and
-    # ProblemConstants enforce symmetry, double stochasticity and the
-    # curvature bounds by raising here
+    # ProblemConstants enforce symmetry, double stochasticity, rho < 1 and
+    # the curvature bounds by raising here
     try:
-        problem, _, w, _, _ = harness.check_run(cfg)
+        problem = harness.check_run(cfg)[0]
     except ConfigError as err:
         print(f"FAIL construction ({type(err).__name__}): {err}")
         return EXIT_CONFIG
-    if w is not None:  # fedsbo's star network has no mixing matrix
-        report("contraction-factor", w.rho < 1.0, f"rho = {w.rho:.6g}")
     _check_spectral_safety(problem, cfg.seed, report)
     _smoke_unbiasedness(problem, cfg.seed, report)
     if failures:
@@ -249,29 +247,29 @@ def cmd_plotdata(args) -> int:
         raise _Usage("traces share no common recorded rounds")
     if any(grid != common for grid in grids):
         warnings.warn("traces have mismatched cadences; resampled to the coarsest common grid")
-    ts = sorted(common)
+    ts = np.array(sorted(common))
 
-    values = {}  # (t, field) -> list aligned with traces
-    for run_id, trace in traces:
+    # each trace's rows at the common rounds: the last one recorded at each
+    picked = []
+    for _, trace in traces:
         rows = trace.records.rows
-        by_t = {t: i for i, t in enumerate(rows["t"].tolist())}
-        columns = {field: rows[field].tolist() for field in fields}
-        for t in ts:
-            for field in fields:
-                values.setdefault((t, field), []).append(columns[field][by_t[t]])
+        order = np.argsort(rows["t"], kind="stable")
+        picked.append(rows[order[np.searchsorted(rows["t"][order], ts, side="right") - 1]])
+    columns = {}  # field -> (traces, rounds) values and (rounds, 3) quantiles, as lists
+    for field in fields:
+        cells = np.stack([rows[field] for rows in picked])
+        quantiles = np.quantile(cells.astype(float), (0.125, 0.5, 0.875), axis=0)
+        columns[field] = cells.tolist(), quantiles.T.tolist()
 
     out = _out_dir(args, default=".")
     path = os.path.join(out, "plotdata.csv")
     lines = ["run_id,t,field,value,q125,q500,q875"]
     for idx, (run_id, _) in enumerate(traces):
-        for t in ts:
+        for j, t in enumerate(ts.tolist()):
             for field in fields:
-                cell = values[(t, field)]
-                q = _quantiles(cell)
-                lines.append(
-                    f"{run_id},{t},{field},{cell[idx]!r},"
-                    f"{q['q125']!r},{q['q500']!r},{q['q875']!r}"
-                )
+                values, quantiles = columns[field]
+                q125, q500, q875 = quantiles[j]
+                lines.append(f"{run_id},{t},{field},{values[idx][j]!r},{q125!r},{q500!r},{q875!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     _say(args, f"wrote {path} ({len(lines) - 1} rows)")

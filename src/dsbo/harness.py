@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import typing
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -34,8 +35,8 @@ from .baselines import (check_compositional, dbsa_run, dsgd_run, fedsbo_round,
 from .core import StepSchedule, default_b, dsbo_round, init_agents
 from .errors import ConfigError, DivergenceError, NumericsError
 from .problems import (
+    HyperoptBilevel,
     densify,
-    make_hyperopt,
     make_policy_eval,
     make_quadratic,
     make_synthetic_hyperopt,
@@ -162,10 +163,6 @@ class RunConfig:
         return RunConfig.from_dict(data)
 
 
-_SECTIONS = {"problem": ProblemConfig, "topology": TopologyConfig,
-             "schedule": ScheduleConfig, "dbsa": DbsaConfig}
-
-
 def _coerce(value, target_type, key: str):
     if target_type is bool:
         if isinstance(value, bool):
@@ -200,22 +197,17 @@ def _coerce(value, target_type, key: str):
 def _config_from_dict(cls, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path or 'config'}: expected an object, got {type(data).__name__}")
-    known = {f.name: f for f in dataclasses.fields(cls)}
+    types = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in data.items():
         full = f"{path}.{key}" if path else key
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"unknown config key {full!r}")
-        if key in _SECTIONS and cls is RunConfig:
-            kwargs[key] = _config_from_dict(_SECTIONS[key], value, full)
+        if dataclasses.is_dataclass(types[key]):  # a section
+            kwargs[key] = _config_from_dict(types[key], value, full)
         else:
-            kwargs[key] = _coerce(value, _field_type(cls, key), full)
+            kwargs[key] = _coerce(value, types[key], full)
     return cls(**kwargs)
-
-
-def _field_type(cls, name: str):
-    hint = {f.name: f.type for f in dataclasses.fields(cls)}[name]
-    return {"int": int, "float": float, "str": str, "bool": bool}.get(hint, hint)
 
 
 def load_config(path: str) -> RunConfig:
@@ -231,20 +223,6 @@ def load_config(path: str) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # Trace
-
-
-TRACE_COLUMNS = (
-    "t", "grad_norm_sq", "subopt", "mse", "consensus_x", "consensus_y",
-    "est_err_s", "est_err_h", "est_err_u", "est_err_v",
-    "samples_zeta", "samples_xi",
-)
-
-_INT_COLUMNS = {"t", "samples_zeta", "samples_xi"}
-
-# One trace row: 12 values in 96 bytes.
-TRACE_DTYPE = np.dtype([
-    (name, np.int64 if name in _INT_COLUMNS else np.float64) for name in TRACE_COLUMNS
-])
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,6 +245,13 @@ class TraceRecord:
     est_err_v: float
     samples_zeta: int
     samples_xi: int
+
+
+# The CSV columns are TraceRecord's fields in order, each parsed by its type;
+# a row of 12 values takes 96 bytes (int maps to int64, float to float64).
+_TRACE_TYPES = typing.get_type_hints(TraceRecord)
+TRACE_COLUMNS = tuple(_TRACE_TYPES)
+TRACE_DTYPE = np.dtype(list(_TRACE_TYPES.items()))
 
 
 class TraceRecords(Sequence):
@@ -362,7 +347,6 @@ def read_trace(path: str) -> Trace:
         columns = fh.readline().strip().split(",")
         if tuple(columns) != TRACE_COLUMNS:
             raise ConfigError(f"{path}: unexpected column set {columns}")
-        parsers = [int if name in _INT_COLUMNS else float for name in TRACE_COLUMNS]
         rows = []
         for lineno, line in enumerate(fh, start=3):
             if not line.strip():
@@ -373,7 +357,7 @@ def read_trace(path: str) -> Trace:
                     f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} cells, got {len(cells)}"
                 )
             row = []
-            for name, parse, cell in zip(TRACE_COLUMNS, parsers, cells):
+            for (name, parse), cell in zip(_TRACE_TYPES.items(), cells):
                 try:
                     row.append(parse(cell))
                 except ValueError:
@@ -513,11 +497,11 @@ def build_problem(cfg: ProblemConfig, k: int):
         if labels.min() == labels.max():
             raise ConfigError(f"every label in {cfg.data_path!r} maps to class {labels[0]:g} "
                               "(labels <= 0 map to 0, labels > 0 to 1); it needs both classes")
-        datasets = []
-        for shard in split_partition(range(len(labels)), k, cfg.seed):
-            train, val = train_val_split(shard, cfg.seed + 1, fraction=1.0 - cfg.val_fraction)
-            datasets.append(((features[train], labels[train]), (features[val], labels[val])))
-        return make_hyperopt(k, datasets, reg_floor=cfg.reg_floor, minibatch=cfg.minibatch)
+        train_shards, val_shards = zip(*(
+            train_val_split(shard, cfg.seed + 1, fraction=1.0 - cfg.val_fraction)
+            for shard in split_partition(range(len(labels)), k, cfg.seed)))
+        return HyperoptBilevel(features, labels, train_shards, val_shards,
+                               lam_min=cfg.reg_floor, minibatch=cfg.minibatch)
     raise ConfigError(f"unknown problem family {cfg.family!r} (expected one of {FAMILIES})")
 
 

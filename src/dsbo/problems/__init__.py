@@ -12,7 +12,6 @@ from .hyperopt import (
     HyperoptBilevel,
     logistic_grad,
     logistic_loss,
-    make_hyperopt,
     make_synthetic_hyperopt,
     sigmoid,
     softplus,
@@ -32,7 +31,6 @@ __all__ = [
     "densify",
     "logistic_grad",
     "logistic_loss",
-    "make_hyperopt",
     "make_policy_eval",
     "make_quadratic",
     "make_synthetic_hyperopt",

@@ -57,6 +57,11 @@ class ProblemConstants:
                 f"(0, {self.mu_g / self.l_g!r}]"
             )
 
+    @property
+    def spectral_ball(self) -> tuple[float, float]:
+        """The ball as an eigenvalue interval: (kappa_g l_g, (2 - kappa_g) l_g)."""
+        return self.kappa_g * self.l_g, (2.0 - self.kappa_g) * self.l_g
+
 
 class DeferredRows:
     """A read-only (R, ...) stack whose rows are built when read.

@@ -48,48 +48,47 @@ def logistic_grad(y, w, z) -> np.ndarray:
     return (float(expit(t)) - z) * np.asarray(w, dtype=float)
 
 
-def _pool(parts):
-    """Concatenate per-agent (w, z) shards into one pooled set.
+def _pool(features, labels, shards, which: str):
+    """Gather the agents' ``which`` shards, given as row indices, into one
+    pooled set.
 
     Returns the pooled features and labels, the per-row weight 1/(K n_k)
     that turns a weighted sum over the pool into the agent average of
     per-shard means, and each agent's shard as a (start, size) pair of
     (K,) arrays: agent k owns pooled rows start[k] .. start[k] + size[k] - 1.
     """
-    sizes = np.array([z.shape[0] for _, z in parts])
-    w = np.concatenate([w for w, _ in parts])
-    z = np.concatenate([z for _, z in parts])
-    weight = np.repeat(1.0 / (len(parts) * sizes), sizes)
+    sizes = np.array([len(shard) for shard in shards])
+    if not sizes.all():
+        raise ConfigError(f"agent {int(np.argmin(sizes))} has an empty {which} shard")
+    rows = np.concatenate(shards)
+    weight = np.repeat(1.0 / (len(shards) * sizes), sizes)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return w, z, weight, starts, sizes
+    return features[rows], labels[rows], weight, starts, sizes
 
 
 class HyperoptBilevel(BilevelProblem):
-    def __init__(self, train_parts, val_parts, lam_min: float = 1e-3, minibatch: int = 1):
+    """One labelled dataset; agent k trains on rows ``train_shards[k]`` and
+    validates on rows ``val_shards[k]`` of ``features`` and ``labels``."""
+
+    def __init__(self, features, labels, train_shards, val_shards, lam_min: float = 1e-3,
+                 minibatch: int = 1):
         if lam_min <= 0:
             raise ConfigError(f"reg floor lam_min must be positive, got {lam_min!r}")
         if minibatch < 1:
             raise ConfigError("minibatch must be >= 1")
-        self.k = len(train_parts)
-        if self.k == 0 or len(val_parts) != self.k:
-            raise ConfigError("need one train and one validation part per agent")
-        train = [(np.asarray(w, dtype=float), np.asarray(z, dtype=float)) for w, z in train_parts]
-        val = [(np.asarray(w, dtype=float), np.asarray(z, dtype=float)) for w, z in val_parts]
-        dims = {w.shape[1] for w, _ in train} | {w.shape[1] for w, _ in val}
-        if len(dims) != 1:
-            raise ConfigError(f"feature-dimension mismatch across partitions: {sorted(dims)}")
-        for which, parts in (("train", train), ("validation", val)):
-            for agent, (w, z) in enumerate(parts):
-                if w.shape[0] == 0:
-                    raise ConfigError(f"agent {agent} has an empty {which} partition")
-                if z.shape[0] != w.shape[0]:
-                    raise ConfigError(f"agent {agent}: {which} labels do not match features")
-        dim = dims.pop()
+        self.k = len(train_shards)
+        if self.k == 0 or len(val_shards) != self.k:
+            raise ConfigError("need one train and one validation shard per agent")
+        features = np.asarray(features, dtype=float)
+        labels = np.asarray(labels, dtype=float)
+        if features.ndim != 2 or labels.shape != features.shape[:1]:
+            raise ConfigError(f"labels {labels.shape} do not match features {features.shape}")
         self.lam_min = float(lam_min)
         self.minibatch = int(minibatch)
         self._train_w, self._train_z, self._train_wt, self._train_start, self._train_size = (
-            _pool(train))
-        self._val_w, self._val_z, self._val_wt, self._val_start, self._val_size = _pool(val)
+            _pool(features, labels, train_shards, "train"))
+        self._val_w, self._val_z, self._val_wt, self._val_start, self._val_size = _pool(
+            features, labels, val_shards, "validation")
         self._train_sq = np.einsum("ij,ij->i", self._train_w, self._train_w)
         max_sq = float(self._train_sq.max())
 
@@ -98,16 +97,14 @@ class HyperoptBilevel(BilevelProblem):
         # spectral ball (they only arise for extreme outer iterates).
         l_g = 0.25 * max_sq + self.lam_min + 2.0
         self.constants = ProblemConstants(
-            d_x=dim,
-            d_y=dim,
+            d_x=features.shape[1],
+            d_y=features.shape[1],
             mu_g=self.lam_min,
             l_g=l_g,
             kappa_g=self.lam_min / l_g,
             sigma_f=0.0,
             sigma_g=0.0,
         )
-        self._spec_lo = self.constants.l_g * self.constants.kappa_g
-        self._spec_hi = self.constants.l_g * (2.0 - self.constants.kappa_g)
 
     def _reg_weights(self, x):
         return softplus(x) + self.lam_min
@@ -152,7 +149,8 @@ class HyperoptBilevel(BilevelProblem):
         # Cheap spectral bound per row: data term <= max ||w||^2/4 plus the
         # largest regularizer weight; only rows that can exceed the ball clip.
         top_bound = 0.25 * self._train_sq[h_idx].max(axis=(1, 2)) + reg.max(axis=1)
-        clip = top_bound > self._spec_hi
+        lo, hi = self.constants.spectral_ball
+        clip = top_bound > hi
 
         def hess_row(r):
             wh = self._train_w[h_idx[r]]  # (b, mb, dim)
@@ -165,7 +163,7 @@ class HyperoptBilevel(BilevelProblem):
             hyy /= mb
             hyy[:, diag, diag] += reg[r]
             if clip[r]:
-                hyy = clip_spectrum(hyy, self._spec_lo, self._spec_hi)
+                hyy = clip_spectrum(hyy, lo, hi)
             return hyy
 
         return StochasticSample(gx_f=gx_f, gy_f=gy_f, gy_g=gy_g, hxy_g=hxy,
@@ -224,15 +222,6 @@ class HyperoptBilevel(BilevelProblem):
         )
 
 
-def make_hyperopt(k, datasets, reg_floor: float = 1e-3, minibatch: int = 1) -> HyperoptBilevel:
-    """Build from per-agent ((train_w, train_z), (val_w, val_z)) tuples."""
-    if len(datasets) != k:
-        raise ConfigError(f"expected {k} per-agent datasets, got {len(datasets)}")
-    train_parts = [train for train, _ in datasets]
-    val_parts = [val for _, val in datasets]
-    return HyperoptBilevel(train_parts, val_parts, lam_min=reg_floor, minibatch=minibatch)
-
-
 def make_synthetic_hyperopt(
     k: int,
     n_points: int,
@@ -250,9 +239,6 @@ def make_synthetic_hyperopt(
     truth = rng.standard_normal(dim)
     labels = (rng.random(n_points) < sigmoid(features @ truth)).astype(float)
     train, val = train_val_split(range(n_points), seed=seed, fraction=1.0 - val_fraction)
-    datasets = [
-        ((features[tr], labels[tr]), (features[va], labels[va]))
-        for tr, va in zip(split_partition(train, k, seed=seed + 1),
-                          split_partition(val, k, seed=seed + 2))
-    ]
-    return make_hyperopt(k, datasets, reg_floor=reg_floor, minibatch=minibatch)
+    return HyperoptBilevel(features, labels, split_partition(train, k, seed=seed + 1),
+                           split_partition(val, k, seed=seed + 2), lam_min=reg_floor,
+                           minibatch=minibatch)

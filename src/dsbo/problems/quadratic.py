@@ -86,9 +86,8 @@ class QuadraticBilevel(BilevelProblem):
             sigma_f=sigma_f,
             sigma_g=sigma_g,
         )
-        self._spec_lo = self.constants.l_g * self.constants.kappa_g
-        self._spec_hi = self.constants.l_g * (2.0 - self.constants.kappa_g)
-        self._fro_budget = min(mu_g - self._spec_lo, self._spec_hi - l_g)
+        lo, hi = self.constants.spectral_ball
+        self._fro_budget = min(mu_g - lo, hi - l_g)
 
     def sample(self, agents, xs, ys, rngs, b=1):
         agents = np.asarray(agents)
@@ -133,7 +132,7 @@ class QuadraticBilevel(BilevelProblem):
             del sym
             unsafe = fro > self._fro_budget
             if np.any(unsafe):
-                hyy[unsafe] = clip_spectrum(hyy[unsafe], self._spec_lo, self._spec_hi)
+                hyy[unsafe] = clip_spectrum(hyy[unsafe], *self.constants.spectral_ball)
         return StochasticSample(gx_f=gx_f, gy_f=gy_f, gy_g=gy_g, hxy_g=hxy, hyy_g_draws=hyy)
 
     def exact_lower(self, x):

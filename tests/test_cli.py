@@ -20,6 +20,7 @@ from dsbo import (
     read_trace,
     write_trace,
 )
+from dsbo import harness
 from dsbo.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGENCE,
@@ -263,8 +264,8 @@ class TestValidate:
         assert code == EXIT_OK
         assert "all checks passed" in out
         assert "FAIL" not in out
-        for check in ("contraction-factor", "hessian-spectral-safety",
-                      "unbiased-gx_f", "unbiased-gy_g", "unbiased-hyy_g"):
+        for check in ("hessian-spectral-safety", "unbiased-gx_f", "unbiased-gy_g",
+                      "unbiased-hyy_g"):
             assert f"PASS {check}" in out
 
     def test_rounded_custom_weights_pass(self, tmp_path, capsys):
@@ -279,7 +280,7 @@ class TestValidate:
         code = main(["validate", "--config", cfg_path])
         out = capsys.readouterr().out
         assert code == EXIT_OK, out
-        assert "PASS contraction-factor: rho = 0.25" in out
+        assert harness.check_run(harness.load_config(cfg_path))[2].rho == pytest.approx(0.25)
 
     def test_asymmetric_custom_weights_fail_construction(self, tmp_path, capsys):
         weights = tmp_path / "w.txt"
@@ -391,6 +392,37 @@ class TestPlotdata:
         assert len(lines) - 1 == 2 * 21 * 1
         ts = sorted({int(line.split(",")[1]) for line in lines[1:]})
         assert ts == list(range(0, 41, 2))
+
+    def test_matches_per_cell_quantile_reference(self, tmp_path):
+        # cadences 1, 2 and 3, each ending at round 7; the third trace
+        # records round 7 twice, and plotdata reads the later row
+        rng = np.random.default_rng(4)
+        grids = {"a": [0, 1, 2, 3, 4, 5, 6, 7], "b": [0, 2, 4, 6, 7], "c": [0, 3, 6, 7, 7]}
+        traces = {}
+        for run_id, ts in grids.items():
+            traces[run_id] = [rec(t, mse=float(rng.lognormal()),
+                                  samples_xi=int(rng.integers(0, 100))) for t in ts]
+            write_trace(Trace(header={"config": {}}, records=traces[run_id]),
+                        str(tmp_path / f"{run_id}.csv"))
+        out = tmp_path / "plot"
+        with pytest.warns(UserWarning, match="mismatched cadences"):
+            code = main(["plotdata", *(str(tmp_path / f"{r}.csv") for r in grids),
+                         "--fields", "samples_xi,mse", "--out", str(out), "--quiet"])
+        assert code == EXIT_OK
+
+        def last(records, t, field):
+            return getattr([r for r in records if r.t == t][-1], field)
+
+        want = ["run_id,t,field,value,q125,q500,q875"]
+        for run_id, records in traces.items():
+            for t in (0, 6, 7):
+                for field in ("samples_xi", "mse"):
+                    cell = np.array([last(other, t, field) for other in traces.values()],
+                                    dtype=float)
+                    qs = [float(np.quantile(cell, q)) for q in (0.125, 0.5, 0.875)]
+                    want.append(",".join([run_id, str(t), field,
+                                          repr(last(records, t, field)), *map(repr, qs)]))
+        assert (out / "plotdata.csv").read_text() == "\n".join(want) + "\n"
 
     def test_unknown_field_is_usage_error(self, tmp_path, capsys):
         paths = self._make_traces(tmp_path, n=1)

@@ -3,8 +3,11 @@
 ``golden_traces.json`` holds every config in ``CONFIGS`` with the SHA-1 of
 its ``trace_to_csv`` output and the Python, numpy and scipy versions it was
 written under.  A diverging run hashes the partial trace attached to its
-``DivergenceError``.  A change that keeps traces byte-identical leaves the
-file untouched; a change that moves numerics on purpose rewrites it with
+``DivergenceError``.  The corpus is hashed in one subprocess under the
+thread pin that ``bench/run.py`` sets (one BLAS and OpenMP thread), so the
+test does not depend on the machine's default thread count.  A change that
+keeps traces byte-identical leaves the file untouched; a change that moves
+numerics on purpose rewrites it, under the same pin, with
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
@@ -16,17 +19,22 @@ depend on the BLAS thread count.
 import dataclasses
 import hashlib
 import json
+import os
 import pathlib
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy
 
+import dsbo
 from dsbo import DivergenceError, run, trace_to_csv
 from dsbo.harness import DbsaConfig, ProblemConfig, RunConfig, ScheduleConfig, TopologyConfig
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_traces.json")
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 _FAMILIES = {
     "quadratic": ProblemConfig(family="quadratic", d_x=4, d_y=4, seed=2),
@@ -111,6 +119,18 @@ def trace_sha1(config: RunConfig) -> tuple[str, bool]:
     return hashlib.sha1(trace_to_csv(trace).encode()).hexdigest(), partial
 
 
+def pinned_hashes() -> dict:
+    """``{name: [sha1, partial]}`` for every config, from one subprocess that
+    runs this file with ``--hash`` under ``PINNED_ENV``."""
+    src = str(pathlib.Path(dsbo.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, **PINNED_ENV,
+               PYTHONPATH=src if not path else os.pathsep.join((src, path)))
+    done = subprocess.run([sys.executable, __file__, "--hash"], env=env, capture_output=True,
+                          text=True, timeout=600, check=True)
+    return json.loads(done.stdout)
+
+
 def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__}
@@ -118,9 +138,8 @@ def versions() -> dict:
 
 def write_corpus(path=GOLDEN):
     entries = {}
-    for name, config in CONFIGS.items():
-        sha1, partial = trace_sha1(config)
-        entries[name] = {"sha1": sha1, "partial": partial, "config": config.to_dict()}
+    for name, (sha1, partial) in pinned_hashes().items():
+        entries[name] = {"sha1": sha1, "partial": partial, "config": CONFIGS[name].to_dict()}
     corpus = {"versions": versions(), "entries": entries}
     path.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
 
@@ -130,15 +149,20 @@ def corpus():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def hashes():
+    return pinned_hashes()
+
+
 def test_corpus_holds_every_config(corpus):
     assert {name: e["config"] for name, e in corpus["entries"].items()} == {
         name: config.to_dict() for name, config in CONFIGS.items()}
 
 
 @pytest.mark.parametrize("name", CONFIGS)
-def test_trace_bytes_match_corpus(corpus, name):
+def test_trace_bytes_match_corpus(corpus, hashes, name):
     entry = corpus["entries"][name]
-    sha1, partial = trace_sha1(CONFIGS[name])
+    sha1, partial = hashes[name]
     assert partial == entry["partial"], f"{name}: divergence changed"
     assert sha1 == entry["sha1"], (
         f"{name}: trace bytes moved; corpus written under {corpus['versions']}, "
@@ -146,4 +170,7 @@ def test_trace_bytes_match_corpus(corpus, name):
 
 
 if __name__ == "__main__":
-    write_corpus()
+    if sys.argv[1:] == ["--hash"]:
+        print(json.dumps({name: trace_sha1(config) for name, config in CONFIGS.items()}))
+    else:
+        write_corpus()

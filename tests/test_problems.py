@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dsbo import (
     ConfigError,
     DataFormatError,
+    HyperoptBilevel,
     PolicyEvalBilevel,
     ProblemConstants,
     QuadraticBilevel,
@@ -19,7 +20,6 @@ from dsbo import (
     StochasticSample,
     densify,
     init_agents,
-    make_hyperopt,
     make_policy_eval,
     make_quadratic,
     make_synthetic_hyperopt,
@@ -54,6 +54,14 @@ class TestProblemConstants:
         c = ProblemConstants(d_x=2, d_y=3, mu_g=0.5, l_g=1.5, kappa_g=0.2,
                              sigma_f=0.1, sigma_g=0.1)
         assert (c.d_x, c.d_y, c.kappa_g) == (2, 3, 0.2)
+
+    def test_spectral_ball_ends_sit_on_the_contraction_bound(self):
+        c = ProblemConstants(d_x=2, d_y=3, mu_g=0.5, l_g=1.5, kappa_g=0.2,
+                             sigma_f=0.1, sigma_g=0.1)
+        lo, hi = c.spectral_ball
+        assert (lo, hi) == pytest.approx((0.3, 2.7))
+        # ||I - H/l_g||_2 = 1 - kappa_g at either end of the ball
+        assert abs(1.0 - np.array([lo, hi]) / c.l_g) == pytest.approx([0.8, 0.8])
 
     def test_rejects_kappa_above_ratio(self):
         with pytest.raises(ConfigError):
@@ -477,7 +485,7 @@ class TestHyperopt:
         # coordinate -> inner Hessian diag(0.1, 0.1) + ww^T/4
         w = np.array([[1.0, 0.0]])
         z = np.array([1.0])
-        prob = make_hyperopt(1, [(((w, z)), ((w, z)))], reg_floor=0.1)
+        prob = HyperoptBilevel(w, z, [[0]], [[0]], lam_min=0.1)
         # softplus(x) + 0.1 == 0.1 requires softplus(x) -> 0: x -> -inf;
         # x = -50 is far past double precision underflow of softplus
         x = np.full(2, -50.0)
@@ -562,17 +570,14 @@ class TestHyperopt:
         assert np.linalg.eigvalsh(sm.hyy_g_draws[0]).min() >= 1e-3 - 1e-15
 
     def test_empty_partition_rejected(self):
-        w = np.ones((1, 2))
-        z = np.ones(1)
-        empty = (np.ones((0, 2)), np.ones(0))
-        with pytest.raises(ConfigError):
-            make_hyperopt(2, [((w, z), (w, z)), (empty, (w, z))])
+        w = np.ones((2, 2))
+        z = np.ones(2)
+        with pytest.raises(ConfigError, match="agent 1 has an empty train shard"):
+            HyperoptBilevel(w, z, [[0], []], [[0], [1]])
 
-    def test_dimension_mismatch_rejected(self):
-        a = (np.ones((2, 3)), np.ones(2))
-        b = (np.ones((2, 4)), np.ones(2))
-        with pytest.raises(ConfigError):
-            make_hyperopt(2, [(a, a), (b, b)])
+    def test_label_count_must_match_feature_rows(self):
+        with pytest.raises(ConfigError, match="do not match features"):
+            HyperoptBilevel(np.ones((3, 2)), np.ones(2), [[0], [1]], [[0], [1]])
 
     def test_optimum_not_closed_form(self):
         prob = make_synthetic_hyperopt(2, 20, 3, seed=11)
@@ -595,7 +600,7 @@ class TestHyperopt:
             for n_tr, n_va in sizes
         ]
         k = len(datasets)
-        prob = make_hyperopt(k, datasets, reg_floor=0.01)
+        prob = HyperoptBilevel(*_pooled(datasets), lam_min=0.01)
         x, y = rng.standard_normal(dim), rng.standard_normal(dim)
 
         def agent_mean(term, part):
@@ -763,6 +768,16 @@ class TestOracleMoments:
         self.run_moment_check(make_synthetic_hyperopt(2, 24, 3, seed=23))
 
 
+def _pooled(datasets):
+    """Stack per-agent ((train_w, train_z), (val_w, val_z)) parts into one
+    dataset: ``(features, labels, train_shards, val_shards)``."""
+    parts = [part for agent in datasets for part in agent]
+    bounds = np.cumsum([0] + [len(z) for _, z in parts])
+    shards = [list(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return (np.concatenate([w for w, _ in parts]), np.concatenate([z for _, z in parts]),
+            shards[0::2], shards[1::2])
+
+
 def _unequal_hyperopt(minibatch=3, dim=4):
     """Four agents with unequal (train, validation) shards."""
     rng = np.random.default_rng(5)
@@ -771,7 +786,7 @@ def _unequal_hyperopt(minibatch=3, dim=4):
               for n in sizes)
         for sizes in ((3, 4), (7, 2), (5, 6), (1, 3))
     ]
-    return make_hyperopt(4, datasets, reg_floor=0.01, minibatch=minibatch)
+    return HyperoptBilevel(*_pooled(datasets), lam_min=0.01, minibatch=minibatch)
 
 
 # name -> (problem, scale of every third row's x, module whose clip_spectrum
@@ -881,9 +896,10 @@ def batched_hessians(problem, agents, xs, ys, rngs, b):
     diag = np.arange(dim)
     hyy[:, :, diag, diag] += reg[:, None]
     top = 0.25 * problem._train_sq[h_idx].max(axis=(1, 2)) + reg.max(axis=1)
-    clip = top > problem._spec_hi
+    lo, hi = problem.constants.spectral_ball
+    clip = top > hi
     if np.any(clip):
-        hyy[clip] = clip_spectrum(hyy[clip], problem._spec_lo, problem._spec_hi)
+        hyy[clip] = clip_spectrum(hyy[clip], lo, hi)
     return hyy, clip
 
 
