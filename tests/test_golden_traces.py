@@ -11,7 +11,11 @@ numerics on purpose rewrites it, under the same pin, with
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-and says which entries moved and why.  A config with 16 or more agents goes
+which prints each added, removed and moved entry with its old and new
+SHA-1 prefixes; the change says why each one moved.  Configs name data
+files by repository-relative paths, and the hashing subprocess runs from
+the repository root, so the bytes do not depend on where the checkout
+lives.  A config with 16 or more agents goes
 in only once ``test_harness.TestThreadSettings`` shows that its bytes do not
 depend on the BLAS thread count.
 """
@@ -33,7 +37,8 @@ import dsbo
 from dsbo import DivergenceError, run, trace_to_csv
 from dsbo.harness import DbsaConfig, ProblemConfig, RunConfig, ScheduleConfig, TopologyConfig
 
-GOLDEN = pathlib.Path(__file__).with_name("golden_traces.json")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden_traces.json"
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 _FAMILIES = {
@@ -89,6 +94,13 @@ CONFIGS = {
     "dsbo-policy-eval-1100-states": _small(
         "dsbo", "policy-eval", t_total=3, topology=TopologyConfig(k=3),
         problem=_problem("policy-eval", n_states=1100, feat_dim=3)),
+    # the two set-up paths no other entry reaches: a LIBSVM data file, and a
+    # file-loaded W that is neither a ring nor a complete graph (Metropolis
+    # weights on a 4-agent path)
+    "dsbo-hyperopt-libsvm": _small(
+        "dsbo", "hyperopt", problem=_problem("hyperopt", data_path="tests/data/two_class.libsvm")),
+    "dsbo-quadratic-custom-path4": _small("dsbo", "quadratic", topology=TopologyConfig(
+        kind="custom", k=4, weights_path="tests/data/metropolis_path4.txt")),
     **{f"{alg}-policy-eval-partial": _small(
         alg, "policy-eval", schedule=ScheduleConfig(regime="constant", c0=1e200))
        for alg in ("dsbo", "fedsbo", "dbsa", "dsgd")},
@@ -126,8 +138,9 @@ def pinned_hashes() -> dict:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, **PINNED_ENV,
                PYTHONPATH=src if not path else os.pathsep.join((src, path)))
-    done = subprocess.run([sys.executable, __file__, "--hash"], env=env, capture_output=True,
-                          text=True, timeout=600, check=True)
+    done = subprocess.run([sys.executable, str(pathlib.Path(__file__).resolve()), "--hash"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
+                          check=True)
     return json.loads(done.stdout)
 
 
@@ -136,12 +149,34 @@ def versions() -> dict:
             "scipy": scipy.__version__}
 
 
+def corpus_changes(old: dict, new: dict) -> list[str]:
+    """One line per entry added, removed or moved between two ``entries``
+    maps, with the old and new SHA-1 prefixes."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        before, after = (entries.get(name, {}).get("sha1") for entries in (old, new))
+        if before == after:
+            continue
+        if before is None:
+            lines.append(f"added   {name}: {after[:12]}")
+        elif after is None:
+            lines.append(f"removed {name}: {before[:12]}")
+        else:
+            lines.append(f"moved   {name}: {before[:12]} -> {after[:12]}")
+    return lines
+
+
 def write_corpus(path=GOLDEN):
+    old = json.loads(path.read_text(encoding="utf-8"))["entries"] if path.exists() else {}
     entries = {}
     for name, (sha1, partial) in pinned_hashes().items():
         entries[name] = {"sha1": sha1, "partial": partial, "config": CONFIGS[name].to_dict()}
     corpus = {"versions": versions(), "entries": entries}
     path.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
+    for line in corpus_changes(old, entries):
+        print(line)
+    kept = sum(old.get(name, {}).get("sha1") == e["sha1"] for name, e in entries.items())
+    print(f"{kept} of {len(entries)} entries unchanged")
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +192,16 @@ def hashes():
 def test_corpus_holds_every_config(corpus):
     assert {name: e["config"] for name, e in corpus["entries"].items()} == {
         name: config.to_dict() for name, config in CONFIGS.items()}
+
+
+def test_corpus_changes_names_each_entry_that_moved():
+    old = {"same": {"sha1": "a" * 40}, "moved": {"sha1": "b" * 40}, "gone": {"sha1": "c" * 40}}
+    new = {"same": {"sha1": "a" * 40}, "moved": {"sha1": "d" * 40}, "new": {"sha1": "e" * 40}}
+    assert corpus_changes(old, new) == [
+        f"removed gone: {'c' * 12}",
+        f"moved   moved: {'b' * 12} -> {'d' * 12}",
+        f"added   new: {'e' * 12}",
+    ]
 
 
 @pytest.mark.parametrize("name", CONFIGS)
