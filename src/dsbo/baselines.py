@@ -2,8 +2,8 @@
 
 * ``fedsbo_round``: a coordinator holds one copy of every quantity, ships
   the common iterate to all agents, and averages their fresh draws.  It
-  is ``core.round_step`` on a one-row state with mix ``[[1.0]]``, so with
-  a single agent it reproduces the gossip algorithm bit for bit.
+  is ``core.round_step`` on a one-row state with W = ``[[1.0]]``, so
+  with a single agent it reproduces the gossip algorithm bit for bit.
 * ``dbsa_run``: double loop; outer step t runs t gossip-SGD inner steps
   on y, then descends x along the partial gradient only (the published
   pseudocode omits the implicit-gradient correction; an optional flag
@@ -34,13 +34,12 @@ from .core import (
     round_step,
 )
 from .errors import UnsupportedProblemError
-from .problems.base import StochasticSample, matvec
+from .problems.base import DeferredRows, StochasticSample, matvec
 from .rng import stream
 from .topology import MixingMatrix, gossip_mix
 
 # The coordinator's single copy mixes only with itself.
-_SELF_MIX = np.ones((1, 1))
-_SELF_MIX.setflags(write=False)
+_SELF_MIX = MixingMatrix(np.ones((1, 1)))
 
 
 def init_central(problem, b: int) -> NetworkState:
@@ -81,7 +80,8 @@ def fedsbo_round(
 
     The reduction over agents is ``agent_mean`` of each (K, ...) field, so
     results are reproducible and with one agent the averaged draw is the
-    agent's own.
+    agent's own.  The Hessian mean is a one-row ``DeferredRows``, built
+    when ``round_step`` reads it, which then scales it in place.
     """
     k = problem.k
     draws = problem.sample(
@@ -91,9 +91,11 @@ def fedsbo_round(
         rng_streams,
         central.v.shape[1],
     )
+    hyy = draws.hyy_g_draws
     mean = StochasticSample(**{
         name: agent_mean(field)[None] for name, field in vars(draws).items()
-    })
+        if name != "hyy_g_draws"
+    }, hyy_g_draws=DeferredRows((1, *hyy.shape[1:]), lambda _: agent_mean(hyy)))
     return round_step(central, _SELF_MIX, mean, schedule, t, problem.constants.l_g)
 
 
@@ -202,7 +204,7 @@ def dsgd_run(
             eta = eta_schedule(i)
             rngs = stream(master_seed, "dsgd-inner", agents, t, i)
             fresh = problem.comp_value(agents, xs, rngs)
-            inner = (1.0 - eta) * gossip_mix(inner, w) + eta * fresh
+            inner = gossip_mix(inner, w, 1.0 - eta) + eta * fresh
 
         rngs = stream(master_seed, "dsgd-outer", agents, t)
         steps = matvec(problem.comp_jac(agents, xs, rngs), problem.comp_outer_grad(inner))

@@ -15,10 +15,11 @@ computed matrix-free by ``neumann_apply`` in O(b d_y^2) per agent; the
 d_y x d_y matrix ``neumann_chain`` builds is never formed in a round.
 
 The network's state is one :class:`NetworkState` of ``(K, ...)`` arrays,
-and ``round_step`` is the only implementation of the update.  The gossip
-round feeds it each agent's own draw; the federated variant is the same
-step on a one-row state with mix ``[[1.0]]`` and the agent-averaged draw.
-All right-hand sides read the round-t snapshot.
+and ``round_step(state, w, ...)`` is the only implementation of the
+update; it mixes every field by ``topology.gossip_mix`` with ``w``.  The
+gossip round feeds it each agent's own draw; the federated variant is the
+same step on a one-row state with W = ``[[1.0]]`` and the agent-averaged
+draw.  All right-hand sides read the round-t snapshot.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .problems.base import DeferredRows, StochasticSample, matvec
 from .topology import MixingMatrix, gossip_mix
 
 _FIELDS = ("x", "y", "s", "h", "u", "v", "q")
-_MIX_BLOCK = 4096  # columns of v's (K, -1) view mixed per matrix product
-_MIN_BLOCK = 64  # a narrower last block joins the one before it
 
 
 @dataclass(frozen=True)
@@ -228,56 +227,32 @@ def check_finite(arrays_by_field, t: int):
             raise DivergenceError(agent=agent, field=name, t=t)
 
 
-def _mix_scale_in_place(v: np.ndarray, mix, scale: float):
-    """Overwrite ``v`` with ``scale * gossip_mix(v, mix)``, one column block at a time.
-
-    ``v`` is a C-contiguous float64 stack with a leading agent axis.  Each
-    block of _MIX_BLOCK columns of its (K, -1) view is mixed into one
-    (K, block) scratch buffer and scaled back into place, so the only
-    temporary is the scratch, not a second stack.  A tail narrower than
-    _MIN_BLOCK columns joins the previous block: a one-column product is a
-    matrix-vector product and rounds differently.
-    """
-    flat = v.reshape(len(v), -1)
-    n = flat.shape[1]
-    scratch = np.empty((len(v), min(n, _MIX_BLOCK + _MIN_BLOCK - 1)))
-    lo = 0
-    while lo < n:
-        hi = n if n - lo < _MIX_BLOCK + _MIN_BLOCK else lo + _MIX_BLOCK
-        block = flat[:, lo:hi]
-        np.multiply(np.matmul(mix, block, out=scratch[:, :hi - lo]), scale, out=block)
-        lo = hi
-
-
-def round_step(state: NetworkState, mix, draws: StochasticSample, schedule: StepSchedule,
-               t: int, l_g: float) -> NetworkState:
+def round_step(state: NetworkState, w: MixingMatrix, draws: StochasticSample,
+               schedule: StepSchedule, t: int, l_g: float) -> NetworkState:
     """Advance every row of ``state`` one round; all reads see the round-t snapshot.
 
-    ``round_step`` consumes ``state.v``, like a donated buffer: the v stack
-    is mixed, scaled and refreshed in place, and the returned state holds
-    the same buffer.  So ``state.v`` must be a writeable, C-contiguous
-    float64 array the caller no longer reads (``ValueError`` otherwise),
-    and past the old state the round holds the new small fields, one agent
-    row of draws and a K x 4096 scratch, not a second v stack.  The other
-    fields of ``state``, the (K, K) gossip matrix ``mix`` and the oracle
-    ``draws`` stacked over the same K rows are not written.  Raises a
-    divergence error naming the first non-finite agent and field; ``v`` is
-    then already refreshed.
+    Every field is mixed by ``gossip_mix(..., w, scale)``, with scale
+    1 - beta where the update has that factor.  ``round_step`` consumes
+    ``state.v``, like a donated buffer: the v stack is mixed, scaled and
+    refreshed in place, and the returned state holds the same buffer.  So
+    ``state.v`` must be a writeable, C-contiguous float64 array the caller
+    no longer reads (``ValueError`` otherwise), and past the old state the
+    round holds the new small fields, one agent row of draws and a K x 4096
+    scratch, not a second v stack.  The other fields of ``state`` and the
+    oracle ``draws`` stacked over the same K rows are not written.  Raises
+    a divergence error naming the first non-finite agent and field; ``v``
+    is then already refreshed.
     """
     v = state.v
-    if not (isinstance(v, np.ndarray) and v.dtype == np.float64
-            and v.flags.c_contiguous and v.flags.writeable):
-        raise ValueError("round_step refreshes state.v in place: it must be a writeable, "
-                         "C-contiguous float64 array")
     hyy = draws.hyy_g_draws
     if len(hyy) != len(v):
         raise ValueError(f"{len(hyy)} rows of Hessian draws for {len(v)} agents")
     alpha, beta, gamma = schedule.alpha(t), schedule.beta(t), schedule.gamma(t)
-    x = gossip_mix(state.x, mix) - alpha * hypergrad_estimate(state.s, state.u, state.q)
-    y = gossip_mix(state.y, mix) - gamma * draws.gy_g
-    s = (1.0 - beta) * gossip_mix(state.s, mix) + beta * draws.gx_f
-    h = (1.0 - beta) * gossip_mix(state.h, mix) + beta * draws.gy_f
-    u = (1.0 - beta) * gossip_mix(state.u, mix) + beta * draws.hxy_g
+    x = gossip_mix(state.x, w) - alpha * hypergrad_estimate(state.s, state.u, state.q)
+    y = gossip_mix(state.y, w) - gamma * draws.gy_g
+    s = gossip_mix(state.s, w, 1.0 - beta) + beta * draws.gx_f
+    h = gossip_mix(state.h, w, 1.0 - beta) + beta * draws.gy_f
+    u = gossip_mix(state.u, w, 1.0 - beta) + beta * draws.hxy_g
     # The v stack is the round's largest array.  The other fields have read
     # the snapshot, so v is mixed and scaled in place, then the draws are
     # added one agent row at a time: the same products and sum as the other
@@ -286,7 +261,7 @@ def round_step(state: NetworkState, mix, draws: StochasticSample, schedule: Step
     # in place; an array row belongs to the caller and is scaled into a
     # temporary.  Index the draws by row and drop each before the next is
     # built (a ``zip`` over the draws would keep the previous one alive).
-    _mix_scale_in_place(v, mix, 1.0 - beta)
+    gossip_mix(v, w, 1.0 - beta, out=v)
     deferred = isinstance(hyy, DeferredRows)
     for k, row in enumerate(v):
         draw = hyy[k]
@@ -313,4 +288,4 @@ def dsbo_round(
     iterate, then ``round_step``."""
     draws = problem.sample(range(state.x.shape[0]), state.x, state.y, rng_streams,
                            state.v.shape[1])
-    return round_step(state, w.weights, draws, schedule, t, problem.constants.l_g)
+    return round_step(state, w, draws, schedule, t, problem.constants.l_g)

@@ -634,22 +634,13 @@ def run(config: RunConfig) -> Trace:
 # Analyses
 
 
-def _rows(trace) -> np.ndarray:
-    """The row array of a Trace, a TraceRecords view, or a list of records."""
-    if isinstance(trace, Trace):
-        return trace.records.rows
-    if isinstance(trace, TraceRecords):
-        return trace.rows
-    return TraceRecords(list(trace)).rows
-
-
-def mean_grad_norm(trace) -> float:
+def mean_grad_norm(trace: Trace) -> float:
     """Arithmetic mean of grad_norm_sq over the recorded rounds.
 
     Requires a cadence-1 trace (consecutive round indices): the averaged
     statistic is only meaningful when every round is present.
     """
-    rows = _rows(trace)
+    rows = trace.records.rows
     if not len(rows):
         raise ConfigError("mean_grad_norm needs a nonempty trace")
     gaps = np.diff(rows["t"])
@@ -661,13 +652,13 @@ def mean_grad_norm(trace) -> float:
     return float(rows["grad_norm_sq"].mean())
 
 
-def loglog_slope(trace, field: str, window: float = 0.1) -> float:
+def loglog_slope(trace: Trace, field: str, window: float = 0.1) -> float:
     """Least-squares slope of log(field) against log(t) over the tail.
 
     ``window`` is the tail fraction: the fit uses records with
     t >= window * t_max (the default keeps the last decade).
     """
-    rows = _rows(trace)
+    rows = trace.records.rows
     rows = rows[rows["t"] > 0]
     if not len(rows):
         raise ConfigError("loglog_slope needs records at positive rounds")
@@ -683,10 +674,10 @@ def loglog_slope(trace, field: str, window: float = 0.1) -> float:
     return float(np.polyfit(ts, np.log(values), 1)[0])
 
 
-def samples_to_eps(trace, eps: float):
+def samples_to_eps(trace: Trace, eps: float):
     """Per-agent inner-draw count at the first recorded round with mse <= eps,
     or None when the trace never reaches eps (censored)."""
-    rows = _rows(trace)
+    rows = trace.records.rows
     reached = np.flatnonzero(rows["mse"] <= eps)
     return int(rows["samples_xi"][reached[0]]) if len(reached) else None
 

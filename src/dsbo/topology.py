@@ -2,6 +2,7 @@
 
 A mixing matrix W is symmetric and doubly stochastic; one gossip step
 replaces each agent's value with a W-weighted sum of its neighbors'.
+``gossip_mix`` is the library's only product with W.
 The contraction rate of the consensus error is governed by
 
     rho = ||W - (1/K) 11^T||_2^2,
@@ -28,6 +29,11 @@ from .errors import (
 # Validation tolerance for file-loaded matrices; constructed matrices are
 # exact to machine precision and pass a far tighter bound.
 _SUM_TOL = 1e-9
+# gossip_mix mixes this many columns per matrix product.  A last block
+# narrower than _MIN_COLUMNS joins the one before it: a one-column product
+# is a matrix-vector product and rounds differently.
+_BLOCK_COLUMNS = 4096
+_MIN_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -121,17 +127,39 @@ def spectral_gap(weights) -> float:
     return float(np.abs(np.linalg.eigvalsh(w - 1.0 / w.shape[0])).max() ** 2)
 
 
-def gossip_mix(values: np.ndarray, w: MixingMatrix | np.ndarray) -> np.ndarray:
-    """One gossip step: output[k] = sum_j w[k, j] * values[j].
+def gossip_mix(values: np.ndarray, w: MixingMatrix, scale: float = 1.0,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """One gossip step, scaled: out[k] = scale * sum_j w[k, j] * values[j].
 
-    ``values`` is stacked with a leading agent axis.  The step is one
-    matrix product over the flattened trailing axes: the same product a
-    tensor contraction over the agent axis forms, bit for bit, without its
-    per-call overhead.  Preserves the network average because W is doubly
-    stochastic.
+    The (K, -1) view of ``values`` is mixed in blocks of _BLOCK_COLUMNS
+    columns, each scaled as it is written, into a new float64 array or
+    into ``out``: a writeable, C-contiguous float64 array of ``values``'
+    shape, which may be ``values`` itself, since it is written through one
+    (K, block) scratch.  Preserves the network average when ``scale`` is
+    1, because W is doubly stochastic.
     """
-    mat = w.weights if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float)
     k = values.shape[0]
-    if k != mat.shape[1]:
-        raise ValueError(f"got {k} agent values for a {mat.shape[0]}-agent matrix")
-    return np.dot(mat, values.reshape(k, -1)).reshape(values.shape)
+    if k != w.k:
+        raise ValueError(f"got {k} agent values for a {w.k}-agent matrix")
+    flat = values.reshape(k, -1)
+    n = flat.shape[1]
+    scratch = None
+    if out is None:
+        out = np.empty(values.shape)
+    elif (out.shape == values.shape and out.dtype == np.float64 and out.flags.c_contiguous
+          and out.flags.writeable):
+        scratch = np.empty((k, min(n, _BLOCK_COLUMNS + _MIN_COLUMNS - 1)))
+    else:
+        raise ValueError("gossip_mix writes out in place: it must be a writeable, "
+                         "C-contiguous float64 array of the values' shape")
+    dest = out.reshape(k, -1)
+    lo = 0
+    while lo < n:
+        hi = n if n - lo < _BLOCK_COLUMNS + _MIN_COLUMNS else lo + _BLOCK_COLUMNS
+        block = dest[:, lo:hi]
+        mixed = np.matmul(w.weights, flat[:, lo:hi],
+                          out=block if scratch is None else scratch[:, :hi - lo])
+        if mixed is not block or scale != 1.0:
+            np.multiply(mixed, scale, out=block)
+        lo = hi
+    return out

@@ -29,7 +29,6 @@ from dsbo import (
     neumann_chain,
     round_step,
 )
-from dsbo.core import _mix_scale_in_place
 from dsbo.problems import DeferredRows
 from dsbo.topology import gossip_mix
 
@@ -319,31 +318,39 @@ class TestCheckFinite:
 
 
 class TestInPlaceMix:
-    """round_step's blocked in-place refresh against the plain gossip product."""
+    """gossip_mix writing over its own values (``out=values``), against the
+    plain product and against its out-of-place path."""
 
     WIDTHS = (1, 2, 63, 4095, 4096, 4097, 4098, 9000, 20000)
 
     @staticmethod
-    def refresh(k, width, seed):
+    def values_and_mix(k, width, seed):
         rng = np.random.default_rng(seed)
         perms = [np.eye(k)[rng.permutation(k)] for _ in range(3)]
         mix = sum(c * (pm + pm.T) / 2 for c, pm in zip(rng.dirichlet(np.ones(3)), perms))
         v = rng.standard_normal((k, width, 1, 1))
-        scale = 1.0 - rng.uniform(0.01, 1.0)
-        expect = gossip_mix(v, mix) * scale
-        _mix_scale_in_place(v, mix, scale)
-        return v, expect
+        return v, MixingMatrix(mix), 1.0 - rng.uniform(0.01, 1.0)
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("k", (1, 2, 3, 5, 8, 16, 20))
     def test_matches_gossip_mix_then_scale(self, k, width):
-        v, expect = self.refresh(k, width, seed=1000 * k + width)
+        v, mix, scale = self.values_and_mix(k, width, seed=1000 * k + width)
+        expect = np.dot(mix.weights, v.reshape(k, -1)).reshape(v.shape) * scale
+        assert gossip_mix(v, mix, scale, out=v) is v
         if k < 16 or width <= 4096:
             assert np.array_equal(v, expect)
         else:
             # OpenBLAS rounds a blocked product at K >= 16 differently when
             # a block's width is not a multiple of 8.
             np.testing.assert_allclose(v, expect, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("k", (1, 2, 3, 5, 8, 16, 20, 33))
+    def test_in_place_has_the_bits_of_out_of_place(self, k, width):
+        v, mix, scale = self.values_and_mix(k, width, seed=1000 * k + width)
+        expect = gossip_mix(v, mix, scale)
+        gossip_mix(v, mix, scale, out=v)
+        assert v.tobytes() == expect.tobytes()
 
 
 class TestDsboRound:
@@ -438,7 +445,7 @@ class TestDsboRound:
             state = _desynchronized(init_agents(p, 3), np.random.default_rng(1))
             draws = p.sample(range(3), state.x, state.y,
                              agent_round_streams(0, "oracle", 3, t), 3)
-            cases.append((state, build_ring(3).weights, draws, p.constants.l_g))
+            cases.append((state, build_ring(3), draws, p.constants.l_g))
         deferred = cases[0][2].hyy_g_draws
         assert isinstance(deferred, DeferredRows)
         with pytest.raises(TypeError):
@@ -453,7 +460,7 @@ class TestDsboRound:
                                    agent_round_streams(0, "oracle", 3, t), 3)
         mean = StochasticSample(**{name: np.mean(field, axis=0)[None]
                                    for name, field in vars(agent_draws).items()})
-        cases.append((central, np.ones((1, 1)), mean, hyper.constants.l_g))
+        cases.append((central, MixingMatrix(np.ones((1, 1))), mean, hyper.constants.l_g))
 
         for state, mix, draws, l_g in cases:
             before = {f: getattr(state, f).copy() for f in STATE_FIELDS if f != "v"}
@@ -488,7 +495,7 @@ class TestDsboRound:
         state = dataclasses.replace(state, v=v_of(state.v))
         before = {f: getattr(state, f).copy() for f in STATE_FIELDS}
         with pytest.raises(ValueError, match="in place"):
-            round_step(state, w.weights, draws, sched, 1, p.constants.l_g)
+            round_step(state, w, draws, sched, 1, p.constants.l_g)
         for f, old in before.items():
             assert np.array_equal(getattr(state, f), old), f
 
@@ -503,7 +510,7 @@ class TestDsboRound:
                              beta_num=50.0)
         state = _desynchronized(init_agents(p, b), np.random.default_rng(0))
         draws = p.sample(range(k), state.x, state.y, agent_round_streams(0, "oracle", k, 1), b)
-        mix = build_ring(k).weights
+        mix = build_ring(k)
         # warm any lazy set-up on a copy: the round consumes v
         round_step(dataclasses.replace(state, v=state.v.copy()), mix, draws, sched, 1,
                    p.constants.l_g)

@@ -381,49 +381,49 @@ class TestTraceStore:
 class TestAnalyses:
     def test_mean_grad_norm_small_example(self):
         records = [rec(1, grad_norm_sq=1.0), rec(2, grad_norm_sq=3.0)]
-        assert mean_grad_norm(records) == pytest.approx(2.0)
+        assert mean_grad_norm(Trace({}, records)) == pytest.approx(2.0)
 
     def test_mean_grad_norm_zeros(self):
-        assert mean_grad_norm([rec(t) for t in range(5)]) == 0.0
+        assert mean_grad_norm(Trace({}, [rec(t) for t in range(5)])) == 0.0
 
     def test_mean_grad_norm_needs_every_round(self):
         with pytest.raises(ConfigError, match="cadence-1"):
-            mean_grad_norm([rec(0), rec(2), rec(4)])
+            mean_grad_norm(Trace({}, [rec(0), rec(2), rec(4)]))
         with pytest.raises(ConfigError, match="nonempty"):
-            mean_grad_norm([])
+            mean_grad_norm(Trace({}, []))
 
     def test_loglog_slope_recovers_power_law(self):
         records = [rec(t, mse=100.0 / t) for t in range(1, 101)]
-        assert loglog_slope(records, "mse") == pytest.approx(-1.0, abs=1e-9)
+        assert loglog_slope(Trace({}, records), "mse") == pytest.approx(-1.0, abs=1e-9)
         squared = [rec(t, mse=5.0 / t**2) for t in range(1, 101)]
-        assert loglog_slope(squared, "mse") == pytest.approx(-2.0, abs=1e-9)
+        assert loglog_slope(Trace({}, squared), "mse") == pytest.approx(-2.0, abs=1e-9)
 
     def test_loglog_slope_flat_is_zero(self):
         records = [rec(t, mse=0.7) for t in range(1, 50)]
-        assert loglog_slope(records, "mse") == pytest.approx(0.0, abs=1e-12)
+        assert loglog_slope(Trace({}, records), "mse") == pytest.approx(0.0, abs=1e-12)
 
     def test_loglog_slope_window_selects_tail(self):
         # kinked curve: flat until t=50, then 1/t; a 0.6 window sees only 1/t
         records = [rec(t, mse=1.0 if t < 60 else 60.0 / t) for t in range(1, 101)]
-        assert loglog_slope(records, "mse", window=0.6) == pytest.approx(-1.0, abs=1e-9)
+        assert loglog_slope(Trace({}, records), "mse", window=0.6) == pytest.approx(-1.0, abs=1e-9)
 
     def test_loglog_slope_skips_round_zero(self):
         records = [rec(0, mse=123.0)] + [rec(t, mse=9.0 / t) for t in range(1, 40)]
-        assert loglog_slope(records, "mse") == pytest.approx(-1.0, abs=1e-9)
+        assert loglog_slope(Trace({}, records), "mse") == pytest.approx(-1.0, abs=1e-9)
 
     def test_loglog_slope_rejects_nonpositive(self):
         records = [rec(t, mse=(0.0 if t == 95 else 1.0 / t)) for t in range(1, 101)]
         with pytest.raises(NumericsError, match="nonpositive"):
-            loglog_slope(records, "mse")
+            loglog_slope(Trace({}, records), "mse")
 
     def test_loglog_slope_needs_tail_points(self):
         with pytest.raises(ConfigError):
-            loglog_slope([rec(1, mse=1.0)], "mse")
+            loglog_slope(Trace({}, [rec(1, mse=1.0)]), "mse")
 
     def test_samples_to_eps(self):
         records = [rec(t, mse=1.0 / (t + 1), samples_xi=4 * t) for t in range(10)]
-        assert samples_to_eps(records, eps=0.25) == 12  # first t with mse <= 0.25
-        assert samples_to_eps(records, eps=1e-9) is None
+        assert samples_to_eps(Trace({}, records), eps=0.25) == 12  # first t with mse <= 0.25
+        assert samples_to_eps(Trace({}, records), eps=1e-9) is None
 
     def test_default_cadence(self):
         assert default_cadence(100) == 1

@@ -196,9 +196,11 @@ class TestGossipMix:
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_tensordot(self, k, trailing, seed):
         rng = np.random.default_rng(seed)
-        mat = np.ones((1, 1)) if k == 1 else rng.dirichlet(np.ones(k), size=k)
+        # a random symmetric doubly-stochastic mix: a convex sum of (P + P^T) / 2
+        perms = [np.eye(k)[rng.permutation(k)] for _ in range(3)]
+        mat = sum(c * (pm + pm.T) / 2 for c, pm in zip(rng.dirichlet(np.ones(3)), perms))
         values = rng.standard_normal((k, *trailing))
-        mixed = gossip_mix(values, mat)
+        mixed = gossip_mix(values, MixingMatrix(mat))
         expect = np.tensordot(mat, values, axes=(1, 0))
         assert mixed.shape == expect.shape
         assert mixed.tobytes() == expect.tobytes()
