@@ -4,6 +4,7 @@ Every test drives ``main(argv)`` directly and asserts on exit codes,
 written files, and printed output.
 """
 
+import dataclasses
 import json
 import os
 
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from dsbo import (
+    NumericsError,
     ProblemConfig,
+    QuadraticBilevel,
     RunConfig,
     ScheduleConfig,
     TopologyConfig,
@@ -185,6 +188,18 @@ class TestRun:
         assert len(partial.records) >= 1
         assert partial.header["config"]["schedule"]["c0"] == 1e200
 
+    def test_numerics_error_exits_config(self, tmp_path, capsys, monkeypatch):
+        # a DsboError that is neither a ConfigError nor a divergence
+        def unsolved(problem):
+            raise NumericsError("reference solve did not converge")
+
+        monkeypatch.setattr(harness, "resolve_reference", unsolved)
+        out = tmp_path / "out"
+        code = main(["run", "--config", write_config(tmp_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: reference solve did not converge\n"
+        assert not list(out.iterdir())
+
 
 class TestArgumentParsing:
     def test_no_subcommand_is_usage_error(self, capsys):
@@ -264,9 +279,23 @@ class TestValidate:
         assert code == EXIT_OK
         assert "all checks passed" in out
         assert "FAIL" not in out
-        for check in ("hessian-spectral-safety", "unbiased-gx_f", "unbiased-gy_g",
-                      "unbiased-hyy_g"):
-            assert f"PASS {check}" in out
+        checks = [line.split(":")[0] for line in out.splitlines() if line.startswith("PASS")]
+        assert checks == [f"PASS unbiased-{name}"
+                          for name in ("gx_f", "gy_f", "gy_g", "hxy_g", "hyy_g")]
+
+    def test_biased_oracle_fails_its_check(self, tmp_path, capsys, monkeypatch):
+        sample = QuadraticBilevel.sample
+
+        def biased(self, *args):
+            draws = sample(self, *args)
+            return dataclasses.replace(draws, gy_g=draws.gy_g + 1.0)
+
+        monkeypatch.setattr(QuadraticBilevel, "sample", biased)
+        code = main(["validate", "--config", write_config(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_CONFIG
+        assert "FAIL unbiased-gy_g:" in out and "PASS unbiased-gy_f:" in out
+        assert out.endswith("1 check(s) failed: unbiased-gy_g\n")
 
     def test_rounded_custom_weights_pass(self, tmp_path, capsys):
         # %.10f rounding leaves row sums 1e-10 off, inside the tolerance

@@ -238,6 +238,16 @@ class TestTraceSerialization:
         with pytest.raises(ConfigError, match=re.escape(f"{path}:{match}")):
             read_trace(str(path))
 
+    def test_read_skips_blank_lines(self, tmp_path):
+        trace = Trace(header={"config": {}}, records=[rec(0, mse=0.5), rec(1), rec(2, mse=0.25)])
+        lines = trace_to_csv(trace).splitlines()
+        lines[3:3] = ["", "  "]  # between the first and second rows
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        back = read_trace(str(path))
+        assert back.records == trace.records
+        assert trace_to_csv(back) == trace_to_csv(trace)
+
     def test_column_accessor(self):
         trace = Trace(header={}, records=[rec(0, mse=2.0), rec(1, mse=4.0)])
         assert trace.column("mse").tolist() == [2.0, 4.0]

@@ -183,17 +183,6 @@ class TestQuadraticFamily:
         assert np.allclose(sm.hyy_g_draws[0], sm.hyy_g_draws[1])
         assert np.allclose(sm.gy_f, y)
 
-    def test_spectral_safety_every_draw(self):
-        p = make_quadratic(2, 3, 6, seed=13, sigma_g=0.12)
-        c = p.constants
-        x, y = np.zeros(3), np.zeros(6)
-        for i in range(300):
-            sm = draw(p, i % 2, x, y, stream(99, "spectest", i), 3)
-            for hyy in sm.hyy_g_draws:
-                assert np.abs(hyy - hyy.T).max() < 1e-12
-                evals = np.linalg.eigvalsh(hyy)
-                assert np.abs(1 - evals / c.l_g).max() <= 1 - c.kappa_g + 1e-12
-
     def test_sigma_g_too_large_rejected(self):
         with pytest.raises(ConfigError):
             make_quadratic(2, 3, 8, seed=1, mu_g=0.1, l_g=1.0, sigma_g=0.5)
@@ -871,6 +860,46 @@ class TestBatchedSample:
         # batch must mix clipped and unclipped ones
         units = 12 if hyperopt else 12 * 3
         assert 0 < sum(clipped) < units
+
+
+# name -> (problem, x on every third draw, module whose clip_spectrum the
+# case must reach).  Quadratic certifies each draw by its Frobenius budget
+# or clips it; hyperopt's reg >= lam_min keeps its rows above the ball's
+# floor, and x = 60 lifts softplus past its ceiling, so those rows clip;
+# policy-eval draws the identity.
+SPECTRAL_CASES = {
+    "quadratic": (make_quadratic(2, 3, 6, seed=13, sigma_g=0.12), 0.0, None),
+    "hyperopt": (_unequal_hyperopt(), 60.0, "dsbo.problems.hyperopt"),
+    "policy-eval": (make_policy_eval(3, 8, 3, gamma=0.6, lam=1.0, seed=3), 0.0, None),
+}
+
+
+class TestSpectralSafety:
+    """Every family's inner-Hessian draws are symmetric and inside the
+    spectral ball ||I - H/l_g||_2 <= 1 - kappa_g, clipped or not."""
+
+    @pytest.mark.parametrize("case", SPECTRAL_CASES)
+    def test_spectral_safety_every_draw(self, case, monkeypatch):
+        p, x_far, module = SPECTRAL_CASES[case]
+        c = p.constants
+        clip_calls = []
+        if module:
+            def counting_clip(mats, lo, hi):
+                clip_calls.append(1)
+                return clip_spectrum(mats, lo, hi)
+
+            monkeypatch.setattr(f"{module}.clip_spectrum", counting_clip)
+        y = np.zeros(p.d_y)
+        for i in range(300):
+            x = np.full(p.d_x, x_far if i % 3 == 0 else 0.0)
+            sm = draw(p, i % p.k, x, y, stream(99, "spectest", i), 3)
+            for hyy in sm.hyy_g_draws:
+                assert np.abs(hyy - hyy.T).max() < 1e-12
+                evals = np.linalg.eigvalsh(hyy)
+                assert np.abs(1 - evals / c.l_g).max() <= 1 - c.kappa_g + 1e-12
+        if module:
+            # each far draw's row clips once and no other row clips
+            assert len(clip_calls) == 100
 
 
 def batched_hessians(problem, agents, xs, ys, rngs, b):
