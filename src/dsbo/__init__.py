@@ -60,9 +60,6 @@ from .problems import (
     QuadraticBilevel,
     StochasticSample,
     densify,
-    make_policy_eval,
-    make_quadratic,
-    make_synthetic_hyperopt,
     parse_libsvm,
     split_partition,
     train_val_split,

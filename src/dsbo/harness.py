@@ -34,21 +34,14 @@ from .baselines import (check_compositional, dbsa_run, dsgd_run, fedsbo_round,
                         init_central, sgd_eta)
 from .core import StepSchedule, default_b, dsbo_round, init_agents
 from .errors import ConfigError, DivergenceError, NumericsError
-from .problems import (
-    HyperoptBilevel,
-    densify,
-    make_policy_eval,
-    make_quadratic,
-    make_synthetic_hyperopt,
-    parse_libsvm,
-    split_partition,
-    train_val_split,
-)
+from .problems import make_hyperopt, make_policy_eval, make_quadratic
 from .rng import agent_round_streams
 from .topology import MixingMatrix, build_complete, build_custom, build_ring
 
 ALGORITHMS = ("dsbo", "fedsbo", "dbsa", "dsgd")
-FAMILIES = ("quadratic", "policy-eval", "hyperopt")
+# Each family's builder reads its fields of a ProblemConfig (see README).
+FAMILIES = {"quadratic": make_quadratic, "policy-eval": make_policy_eval,
+            "hyperopt": make_hyperopt}
 
 
 # ---------------------------------------------------------------------------
@@ -469,40 +462,10 @@ def build_topology(cfg: TopologyConfig) -> MixingMatrix:
 
 
 def build_problem(cfg: ProblemConfig, k: int):
-    if cfg.family == "quadratic":
-        return make_quadratic(
-            k, cfg.d_x, cfg.d_y, cfg.seed,
-            sigma_f=cfg.sigma_f, sigma_g=cfg.sigma_g, mu_g=cfg.mu_g, l_g=cfg.l_g,
-            heterogeneity=cfg.heterogeneity,
-            kappa_g=cfg.kappa_g if cfg.kappa_g > 0 else None,
-        )
-    if cfg.family == "policy-eval":
-        return make_policy_eval(
-            k, cfg.n_states, cfg.feat_dim, cfg.discount, cfg.lam, cfg.seed,
-            sigma_r=cfg.sigma_r, homogeneous=cfg.homogeneous, exact_oracle=cfg.exact_oracle,
-        )
-    if cfg.family == "hyperopt":
-        if not cfg.data_path:
-            return make_synthetic_hyperopt(
-                k, cfg.n_points, cfg.dim, cfg.seed,
-                reg_floor=cfg.reg_floor, minibatch=cfg.minibatch,
-                val_fraction=cfg.val_fraction,
-            )
-        try:
-            with open(cfg.data_path, "r", encoding="utf-8") as fh:
-                records = parse_libsvm(fh)
-        except OSError as err:
-            raise ConfigError(f"cannot read data from {cfg.data_path!r}: {err}") from err
-        features, labels = densify(records)
-        if labels.min() == labels.max():
-            raise ConfigError(f"every label in {cfg.data_path!r} maps to class {labels[0]:g} "
-                              "(labels <= 0 map to 0, labels > 0 to 1); it needs both classes")
-        train_shards, val_shards = zip(*(
-            train_val_split(shard, cfg.seed + 1, fraction=1.0 - cfg.val_fraction)
-            for shard in split_partition(range(len(labels)), k, cfg.seed)))
-        return HyperoptBilevel(features, labels, train_shards, val_shards,
-                               lam_min=cfg.reg_floor, minibatch=cfg.minibatch)
-    raise ConfigError(f"unknown problem family {cfg.family!r} (expected one of {FAMILIES})")
+    if cfg.family not in FAMILIES:
+        raise ConfigError(
+            f"unknown problem family {cfg.family!r} (expected one of {tuple(FAMILIES)})")
+    return FAMILIES[cfg.family](cfg, k)
 
 
 def schedule_from_config(cfg: ScheduleConfig, k: int, t_total: int) -> StepSchedule:
@@ -565,6 +528,10 @@ def check_run(config: RunConfig):
     for name in ("b", "cadence"):
         if getattr(config, name) < 0:
             raise ConfigError(f"{name} must be >= 0 (0 derives it), got {getattr(config, name)}")
+    if config.algorithm in ("dbsa", "dsgd") and config.dbsa.eta_c <= 0:
+        raise ConfigError(f"dbsa.eta_c must be > 0, got {config.dbsa.eta_c!r}")
+    if config.algorithm == "dbsa" and config.dbsa.corr_depth < 1:
+        raise ConfigError(f"dbsa.corr_depth must be >= 1, got {config.dbsa.corr_depth}")
     k = config.topology.k
     w = None if config.algorithm == "fedsbo" else build_topology(config.topology)
     problem = build_problem(config.problem, k)

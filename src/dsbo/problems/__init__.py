@@ -12,7 +12,7 @@ from .hyperopt import (
     HyperoptBilevel,
     logistic_grad,
     logistic_loss,
-    make_synthetic_hyperopt,
+    make_hyperopt,
     sigmoid,
     softplus,
 )
@@ -31,9 +31,9 @@ __all__ = [
     "densify",
     "logistic_grad",
     "logistic_loss",
+    "make_hyperopt",
     "make_policy_eval",
     "make_quadratic",
-    "make_synthetic_hyperopt",
     "parse_libsvm",
     "sigmoid",
     "softplus",

@@ -27,6 +27,7 @@ from .base import (
     clip_spectrum,
     matvec,
 )
+from .data import densify, parse_libsvm, split_partition, train_val_split
 
 
 def sigmoid(t):
@@ -222,23 +223,32 @@ class HyperoptBilevel(BilevelProblem):
         )
 
 
-def make_synthetic_hyperopt(
-    k: int,
-    n_points: int,
-    dim: int,
-    seed: int,
-    reg_floor: float = 1e-3,
-    minibatch: int = 1,
-    val_fraction: float = 0.5,
-) -> HyperoptBilevel:
-    """Synthetic logistic data, split for train/validation, sharded over agents."""
-    from .data import split_partition, train_val_split
-
-    rng = np.random.default_rng(seed)
-    features = rng.standard_normal((n_points, dim))
-    truth = rng.standard_normal(dim)
-    labels = (rng.random(n_points) < sigmoid(features @ truth)).astype(float)
-    train, val = train_val_split(range(n_points), seed=seed, fraction=1.0 - val_fraction)
-    return HyperoptBilevel(features, labels, split_partition(train, k, seed=seed + 1),
-                           split_partition(val, k, seed=seed + 2), lam_min=reg_floor,
-                           minibatch=minibatch)
+def make_hyperopt(cfg, k: int) -> HyperoptBilevel:
+    """Instance of a hyperopt ``ProblemConfig``: synthetic logistic data, or
+    the LIBSVM file ``data_path``, split for train/validation and sharded
+    over agents."""
+    seed = cfg.seed
+    if not cfg.data_path:
+        rng = np.random.default_rng(seed)
+        features = rng.standard_normal((cfg.n_points, cfg.dim))
+        truth = rng.standard_normal(cfg.dim)
+        labels = (rng.random(cfg.n_points) < sigmoid(features @ truth)).astype(float)
+        train, val = train_val_split(range(cfg.n_points), seed=seed,
+                                     fraction=1.0 - cfg.val_fraction)
+        train_shards = split_partition(train, k, seed=seed + 1)
+        val_shards = split_partition(val, k, seed=seed + 2)
+    else:
+        try:
+            with open(cfg.data_path, "r", encoding="utf-8") as fh:
+                records = parse_libsvm(fh)
+        except OSError as err:
+            raise ConfigError(f"cannot read data from {cfg.data_path!r}: {err}") from err
+        features, labels = densify(records)
+        if labels.min() == labels.max():
+            raise ConfigError(f"every label in {cfg.data_path!r} maps to class {labels[0]:g} "
+                              "(labels <= 0 map to 0, labels > 0 to 1); it needs both classes")
+        train_shards, val_shards = zip(*(
+            train_val_split(shard, seed + 1, fraction=1.0 - cfg.val_fraction)
+            for shard in split_partition(range(len(labels)), k, seed)))
+    return HyperoptBilevel(features, labels, train_shards, val_shards,
+                           lam_min=cfg.reg_floor, minibatch=cfg.minibatch)

@@ -233,35 +233,27 @@ class PolicyEvalBilevel(BilevelProblem):
         return np.concatenate([gy_f, gx_f], axis=1)
 
 
-def make_policy_eval(
-    k: int,
-    n_states: int,
-    feat_dim: int,
-    gamma: float,
-    lam: float,
-    seed: int,
-    sigma_r: float = 1.0,
-    homogeneous: bool = False,
-    exact_oracle: bool = False,
-) -> PolicyEvalBilevel:
-    """Random instance: uniform features, random normalized transitions,
-    per-agent uniform reward means (shared across agents when homogeneous).
+def make_policy_eval(cfg, k: int) -> PolicyEvalBilevel:
+    """Random instance of a policy-eval ``ProblemConfig``: uniform features,
+    random normalized transitions, per-agent uniform reward means (shared
+    across agents when homogeneous).
     """
+    n_states, feat_dim = cfg.n_states, cfg.feat_dim
     if n_states < 2:
         raise ConfigError(f"need n_states >= 2, got {n_states}")
     if k < 1 or feat_dim < 1:
         raise ConfigError("k and feat_dim must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     phi = rng.random((n_states, feat_dim))
     p_raw = rng.random((n_states, n_states))
     transitions = p_raw / p_raw.sum(axis=1, keepdims=True)
-    if homogeneous:
+    if cfg.homogeneous:
         reward_means = np.broadcast_to(
             rng.random((n_states, n_states)), (k, n_states, n_states)
         ).copy()
     else:
         reward_means = rng.random((k, n_states, n_states))
     return PolicyEvalBilevel(
-        phi, transitions, reward_means, gamma=gamma, lam=lam,
-        sigma_r=sigma_r, exact_oracle=exact_oracle,
+        phi, transitions, reward_means, gamma=cfg.discount, lam=cfg.lam,
+        sigma_r=cfg.sigma_r, exact_oracle=cfg.exact_oracle,
     )

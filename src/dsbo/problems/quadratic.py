@@ -159,26 +159,19 @@ class QuadraticBilevel(BilevelProblem):
         return x_star, self.objective(x_star)
 
 
-def make_quadratic(
-    k: int,
-    d_x: int,
-    d_y: int,
-    seed: int,
-    sigma_f: float = 0.1,
-    sigma_g: float = 0.1,
-    mu_g: float = 0.5,
-    l_g: float = 1.5,
-    heterogeneity: float = 1.0,
-    kappa_g: float | None = None,
-) -> QuadraticBilevel:
-    """Random instance with B's spectrum spanning [mu_g, l_g]."""
+def make_quadratic(cfg, k: int) -> QuadraticBilevel:
+    """Random instance of a quadratic ``ProblemConfig`` with B's spectrum
+    spanning [mu_g, l_g]; ``kappa_g`` 0 derives the curvature ratio."""
+    d_x, d_y, heterogeneity = cfg.d_x, cfg.d_y, cfg.heterogeneity
     if k < 1 or d_x < 1 or d_y < 1:
         raise ConfigError("k, d_x, d_y must all be >= 1")
-    if mu_g > l_g:
-        raise ConfigError(f"requested mu_g = {mu_g!r} exceeds l_g = {l_g!r}")
-    rng = np.random.default_rng(seed)
+    if cfg.mu_g > cfg.l_g:
+        raise ConfigError(f"requested mu_g = {cfg.mu_g!r} exceeds l_g = {cfg.l_g!r}")
+    if cfg.kappa_g < 0:
+        raise ConfigError(f"kappa_g must be >= 0 (0 derives it), got {cfg.kappa_g!r}")
+    rng = np.random.default_rng(cfg.seed)
     basis, _ = np.linalg.qr(rng.standard_normal((d_y, d_y)))
-    evals = np.linspace(mu_g, l_g, d_y)
+    evals = np.linspace(cfg.mu_g, cfg.l_g, d_y)
     b_matrix = (basis * evals) @ basis.T
     b_matrix = (b_matrix + b_matrix.T) / 2.0
     c_matrix = rng.standard_normal((d_x, d_y)) / np.sqrt(max(d_x, d_y))
@@ -188,7 +181,5 @@ def make_quadratic(
     d_dev = rng.standard_normal((k, d_y))
     a_vectors = abar + heterogeneity * (a_dev - a_dev.mean(axis=0))
     d_vectors = dbar + heterogeneity * (d_dev - d_dev.mean(axis=0))
-    return QuadraticBilevel(
-        b_matrix, c_matrix, a_vectors, d_vectors,
-        sigma_f=sigma_f, sigma_g=sigma_g, kappa_g=kappa_g,
-    )
+    return QuadraticBilevel(b_matrix, c_matrix, a_vectors, d_vectors, sigma_f=cfg.sigma_f,
+                            sigma_g=cfg.sigma_g, kappa_g=cfg.kappa_g or None)

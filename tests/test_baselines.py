@@ -11,10 +11,12 @@ from hypothesis.extra import numpy as hnp
 
 from dsbo import (
     DivergenceError,
+    ProblemConfig,
     StepSchedule,
     UnsupportedProblemError,
     agent_round_streams,
     build_complete,
+    build_problem,
     build_ring,
     dbsa_run,
     dsbo_round,
@@ -22,9 +24,6 @@ from dsbo import (
     fedsbo_round,
     init_agents,
     init_central,
-    make_policy_eval,
-    make_quadratic,
-    make_synthetic_hyperopt,
     sgd_eta,
 )
 from dsbo.baselines import agent_mean
@@ -60,7 +59,8 @@ class TestSgdEta:
 
 class TestFedSbo:
     def test_single_agent_matches_gossip_bitwise(self):
-        p = make_quadratic(1, 3, 3, seed=4, sigma_f=0.2, sigma_g=0.1)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=4, sigma_f=0.2,
+                                        sigma_g=0.1), 1)
         w = build_complete(1)
         sched = StepSchedule("diminishing", c1=50.0, mu=1.0)
         state = init_agents(p, b=3)
@@ -77,7 +77,8 @@ class TestFedSbo:
                 )
 
     def test_samples_at_common_iterate(self):
-        p = SpyProblem(make_quadratic(4, 3, 3, seed=5, sigma_f=0.1, sigma_g=0.0))
+        p = SpyProblem(build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=5,
+                                                   sigma_f=0.1, sigma_g=0.0), 4))
         sched = StepSchedule("diminishing", c1=50.0, mu=1.0)
         central = init_central(p, b=2)
         central = fedsbo_round(central, p, sched, 0, agent_round_streams(0, "oracle", 4, 0))
@@ -89,7 +90,8 @@ class TestFedSbo:
 
     def test_full_mix_replaces_estimators(self):
         # beta = 1 discards the previous estimators entirely
-        p = make_quadratic(3, 3, 3, seed=6, sigma_f=0.0, sigma_g=0.0)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=6, sigma_f=0.0,
+                                        sigma_g=0.0), 3)
         sched = StepSchedule("diminishing", c1=2.0, mu=1.0)  # beta(0) = 1
         central = init_central(p, b=2)
         out = fedsbo_round(central, p, sched, 0, agent_round_streams(0, "oracle", 3, 0))
@@ -100,7 +102,8 @@ class TestFedSbo:
 
     def test_estimator_bias_contracts_geometrically(self):
         # zero noise, frozen iterates: s_t - target shrinks by (1 - beta)
-        p = make_quadratic(2, 3, 3, seed=7, sigma_f=0.0, sigma_g=0.0)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=7, sigma_f=0.0,
+                                        sigma_g=0.0), 2)
         central = init_central(p, b=2)
         sched = StepSchedule("constant", k=2, t_total=400, c0=1e-12, beta_scale=1.0)
         beta = sched.beta(0)
@@ -140,7 +143,8 @@ class TestFedSbo:
         # 2.08 rows, mixing v into a new stack at 3.08, and copying every
         # field's K rows at 6.
         k, b = 5, 50
-        p = make_policy_eval(k, 50, 5, gamma=0.5, lam=1.0, seed=7)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=50, feat_dim=5,
+                                        discount=0.5, lam=1.0, seed=7), k)
         sched = StepSchedule("capped", alpha_cap=0.01, alpha_num=2.0, beta_cap=0.5,
                              beta_num=50.0)
         central = init_central(p, b)
@@ -166,7 +170,7 @@ class TestFedSbo:
         # 3.18 rows; expanding every agent's row first, then copying the
         # stack for np.mean, peaked at 8.
         k, b = 5, 200
-        p = make_synthetic_hyperopt(k, 200, 10, seed=11)
+        p = build_problem(ProblemConfig(family="hyperopt", n_points=200, dim=10, seed=11), k)
         sched = StepSchedule("capped", alpha_cap=0.01, alpha_num=2.0, beta_cap=0.5,
                              beta_num=50.0)
         central = init_central(p, b)
@@ -185,7 +189,8 @@ class TestFedSbo:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_detection(self):
-        p = make_quadratic(2, 3, 3, seed=8, sigma_f=0.0, sigma_g=0.0)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=8, sigma_f=0.0,
+                                        sigma_g=0.0), 2)
         sched = StepSchedule("constant", k=2, t_total=10, c0=1e160)
         central = init_central(p, b=2)
         central = dataclasses.replace(central, s=np.full((1, 3), 1e160))
@@ -197,7 +202,8 @@ class TestFedSbo:
 class TestDbsa:
     @pytest.fixture()
     def quiet_problem(self):
-        return make_quadratic(3, 3, 3, seed=9, sigma_f=0.0, sigma_g=0.0)
+        return build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=9, sigma_f=0.0,
+                                           sigma_g=0.0), 3)
 
     def test_first_outer_step_runs_no_inner_steps(self, quiet_problem):
         t1 = list(dbsa_run(quiet_problem, build_ring(3), 1, lambda t: 0.1, sgd_eta(), 0))[1]
@@ -249,7 +255,8 @@ class TestDbsa:
         assert finals[False] > 1.0
 
     def test_deterministic_replay(self):
-        p = make_quadratic(3, 3, 3, seed=10, sigma_f=0.3, sigma_g=0.1)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=10, sigma_f=0.3,
+                                        sigma_g=0.1), 3)
         traces = []
         for _ in range(2):
             traces.append(list(dbsa_run(p, build_ring(3), 12, lambda t: 0.05, sgd_eta(), 21)))
@@ -260,15 +267,15 @@ class TestDbsa:
 
 class TestDsgd:
     def test_rejects_non_compositional(self):
-        p = make_quadratic(3, 3, 3, seed=1)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=1), 3)
         with pytest.raises(UnsupportedProblemError, match="compositional"):
             next(dsgd_run(p, build_ring(3), 5, lambda t: 0.1, sgd_eta(), 0))
 
     def test_cold_start_geometric_fill_in(self):
         # frozen x (alpha = 0), constant inner weight 1/2, exact oracle:
         # the inner estimate rebuilt at outer step t is (1 - 2^-t) * value
-        p = make_policy_eval(1, 6, 3, gamma=0.5, lam=1.0, seed=2,
-                             exact_oracle=True, homogeneous=True)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=6, feat_dim=3, discount=0.5,
+                                        lam=1.0, seed=2, exact_oracle=True, homogeneous=True), 1)
         rows = list(dsgd_run(p, build_complete(1), 6, lambda t: 0.0, lambda i: 0.5, 0))
         val = p.comp_value([0], np.zeros((1, 3)), None)[0, : p.d_y]
         for t, _, ys, _, _ in rows[1:]:
@@ -276,7 +283,8 @@ class TestDsgd:
             assert np.allclose(ys[0], frac * val, atol=1e-12), f"row {t}"
 
     def test_sample_counters(self):
-        p = make_policy_eval(2, 5, 2, gamma=0.5, lam=1.0, seed=3, exact_oracle=True)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=5, feat_dim=2, discount=0.5,
+                                        lam=1.0, seed=3, exact_oracle=True), 2)
         t_total = 10
         rows = list(dsgd_run(p, build_complete(2), t_total, lambda t: 0.01, sgd_eta(), 0))
         _, _, _, zeta, xi = rows[-1]
@@ -284,8 +292,9 @@ class TestDsgd:
         assert xi == t_total * (t_total - 1) // 2 + t_total  # inner + jacobian draws
 
     def test_homogeneous_exact_oracle_converges(self):
-        p = make_policy_eval(2, 10, 3, gamma=0.5, lam=1.0, seed=4,
-                             exact_oracle=True, homogeneous=True)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=10, feat_dim=3,
+                                        discount=0.5, lam=1.0, seed=4, exact_oracle=True,
+                                        homogeneous=True), 2)
         rows = list(dsgd_run(p, build_complete(2), 120, lambda t: 0.3, sgd_eta(), 0))
         x_star, _ = p.optimum()
         xbar = rows[-1][1].mean(axis=0)
@@ -295,7 +304,8 @@ class TestDsgd:
         # the inner estimate costs t draws at outer step t, so for the same
         # per-agent oracle budget the chain-rule baseline completes only
         # O(sqrt(budget)) outer steps and sits far up its transient
-        het = make_policy_eval(4, 10, 3, gamma=0.5, lam=1.0, seed=5)
+        het = build_problem(ProblemConfig(family="policy-eval", n_states=10, feat_dim=3,
+                                          discount=0.5, lam=1.0, seed=5), 4)
         x_star, _ = het.optimum()
         w = build_ring(4)
         cap = StepSchedule("capped", alpha_cap=0.01, alpha_num=2.0,
@@ -312,7 +322,8 @@ class TestDsgd:
         assert naive_mse > 20 * gossip_mse
 
     def test_deterministic_replay(self):
-        p = make_policy_eval(3, 6, 2, gamma=0.5, lam=1.0, seed=6)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=6, feat_dim=2, discount=0.5,
+                                        lam=1.0, seed=6), 3)
         traces = []
         for _ in range(2):
             traces.append(list(dsgd_run(p, build_ring(3), 15, lambda t: 0.02, sgd_eta(), 31)))

@@ -361,8 +361,18 @@ class TestValidate:
         ({"algorithm": "dsgd"}, "compositional"),
         ({"t_total": 20, "schedule": {"regime": "constant", "c0": 0.1, "beta_scale": 10.0}},
          "violates beta <= 1"),
+        ({"problem": {"kappa_g": -5.0}}, "kappa_g must be >= 0"),
+        ({"algorithm": "dbsa", "t_total": 5, "b": 1, "dbsa": {"corr_depth": -1}},
+         "dbsa.corr_depth must be >= 1"),
+        ({"algorithm": "dbsa", "t_total": 5, "b": 1,
+          "dbsa": {"full_hypergrad": True, "corr_depth": 0}}, "dbsa.corr_depth must be >= 1"),
+        ({"algorithm": "dbsa", "t_total": 5, "b": 1, "dbsa": {"eta_c": 0.0}},
+         "dbsa.eta_c must be > 0"),
+        ({"algorithm": "dsgd", "t_total": 5, "problem": {"family": "policy-eval"},
+          "dbsa": {"eta_c": -1.0}}, "dbsa.eta_c must be > 0"),
     ], ids=["unknown-algorithm", "zero-horizon", "negative-depth", "dsgd-on-quadratic",
-            "constant-beta-above-one"])
+            "constant-beta-above-one", "negative-kappa-g", "dbsa-negative-corr-depth",
+            "dbsa-full-hypergrad-zero-depth", "dbsa-zero-eta-c", "dsgd-negative-eta-c"])
     def test_rejects_what_run_rejects(self, tmp_path, capsys, updates, message):
         cfg_path = write_config(tmp_path, updates)
         code = main(["validate", "--config", cfg_path])
@@ -371,6 +381,7 @@ class TestValidate:
         assert "FAIL construction (" in out and message in out
         assert "all checks passed" not in out
         assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config error: " in capsys.readouterr().err
 
 
 class TestPlotdata:

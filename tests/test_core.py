@@ -13,18 +13,17 @@ from dsbo import (
     ConfigError,
     DivergenceError,
     MixingMatrix,
+    ProblemConfig,
     StepSchedule,
     StochasticSample,
     agent_round_streams,
+    build_problem,
     build_ring,
     check_finite,
     default_b,
     dsbo_round,
     init_agents,
     init_central,
-    make_policy_eval,
-    make_quadratic,
-    make_synthetic_hyperopt,
     neumann_apply,
     neumann_chain,
     round_step,
@@ -259,7 +258,7 @@ class TestStepSchedule:
 
 class TestInitAgents:
     def test_shapes_and_values(self):
-        p = make_quadratic(3, 4, 5, seed=1)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=4, d_y=5, seed=1), 3)
         state = init_agents(p, b=6)
         assert state.x.shape == (3, 4) and not state.x.any()
         assert state.y.shape == (3, 5) and state.s.shape == (3, 4) and state.h.shape == (3, 5)
@@ -270,18 +269,18 @@ class TestInitAgents:
         assert np.allclose(state.q[0], neumann_chain(state.v[0], p.constants.l_g) @ state.h[0])
 
     def test_agents_do_not_share_storage(self):
-        p = make_quadratic(2, 3, 3, seed=1)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=1), 2)
         state = init_agents(p, b=2)
         state.v[0, 0, 0, 0] = 99.0
         assert state.v[1, 0, 0, 0] != 99.0
 
     def test_row_count_override(self):
-        p = make_quadratic(4, 3, 2, seed=1)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=2, seed=1), 4)
         state = init_agents(p, b=2, k=1)
         assert state.x.shape == (1, 3) and state.v.shape == (1, 2, 2, 2)
 
     def test_iterates_per_agent_row_views(self):
-        p = make_quadratic(3, 4, 5, seed=1)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=4, d_y=5, seed=1), 3)
         state = init_agents(p, b=2)
         rows = list(state)
         assert len(rows) == 3
@@ -291,7 +290,7 @@ class TestInitAgents:
                 assert np.shares_memory(getattr(row, f), getattr(state, f)[k])
 
     def test_depth_must_be_positive(self):
-        p = make_quadratic(2, 3, 3, seed=1)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=1), 2)
         with pytest.raises(ConfigError):
             init_agents(p, b=0)
 
@@ -356,7 +355,8 @@ class TestInPlaceMix:
 class TestDsboRound:
     @pytest.fixture()
     def setup(self):
-        p = make_quadratic(3, 4, 4, seed=5, sigma_f=0.0, sigma_g=0.0)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=4, d_y=4, seed=5, sigma_f=0.0,
+                                        sigma_g=0.0), 3)
         w = build_ring(3)
         sched = StepSchedule("diminishing", c1=50.0, mu=1.0)
         return p, w, sched
@@ -365,7 +365,8 @@ class TestDsboRound:
            b=hst.integers(1, 4), seed=hst.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_matches_manual_update(self, k, d_x, d_y, b, seed):
-        p = make_quadratic(k, d_x, d_y, seed=5, sigma_f=0.3, sigma_g=0.1)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=d_x, d_y=d_y, seed=5, sigma_f=0.3,
+                                        sigma_g=0.1), k)
         l_g = p.constants.l_g
         rng = np.random.default_rng(seed)
         # a random symmetric doubly-stochastic mix: a convex sum of (P + P^T) / 2
@@ -437,8 +438,9 @@ class TestDsboRound:
         # (hyperopt), a read-only broadcast view (policy-eval) or fedsbo's
         # one-row agent mean.  A built row is the reader's own.
         _, _, sched = setup
-        hyper = make_synthetic_hyperopt(3, 60, 4, seed=2)
-        pe = make_policy_eval(3, 10, 3, gamma=0.5, lam=1.0, seed=4)
+        hyper = build_problem(ProblemConfig(family="hyperopt", n_points=60, dim=4, seed=2), 3)
+        pe = build_problem(ProblemConfig(family="policy-eval", n_states=10, feat_dim=3,
+                                         discount=0.5, lam=1.0, seed=4), 3)
         t = 2
         cases = []
         for p in (hyper, pe):
@@ -505,7 +507,7 @@ class TestDsboRound:
         # of draws and one block of mixing scratch: under two agent rows.
         # Mixing v into a second stack peaked at 6.35 rows.
         k, b = 5, 200
-        p = make_synthetic_hyperopt(k, 200, 10, seed=11)
+        p = build_problem(ProblemConfig(family="hyperopt", n_points=200, dim=10, seed=11), k)
         sched = StepSchedule("capped", alpha_cap=0.01, alpha_num=2.0, beta_cap=0.5,
                              beta_num=50.0)
         state = _desynchronized(init_agents(p, b), np.random.default_rng(0))

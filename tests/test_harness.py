@@ -21,6 +21,7 @@ from hypothesis import strategies as hst
 import dsbo
 from dsbo import (
     ConfigError,
+    DbsaConfig,
     DivergenceError,
     NumericsError,
     ProblemConfig,
@@ -36,7 +37,6 @@ from dsbo import (
     densify,
     load_config,
     loglog_slope,
-    make_quadratic,
     mean_grad_norm,
     parse_libsvm,
     read_trace,
@@ -255,7 +255,7 @@ class TestTraceSerialization:
             trace.column("loss")
 
 
-_QUAD = make_quadratic(2, 2, 2, seed=3)
+_QUAD = build_problem(ProblemConfig(family="quadratic", d_x=2, d_y=2, seed=3), 2)
 
 
 class TestTraceStore:
@@ -361,7 +361,7 @@ class TestTraceStore:
     def test_recorded_means_match_numpy_mean(self, k, b, seed):
         # the recorder takes means as np.add.reduce / n; every cell must
         # have the bits of the same record computed with np.mean
-        problem = make_quadratic(k, 3, 2, seed=3)
+        problem = build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=2, seed=3), k)
         rng = np.random.default_rng(seed)
         xs, ys = rng.standard_normal((k, 3)) * 1e3, rng.standard_normal((k, 2))
         est = SimpleNamespace(s=rng.standard_normal((k, 3)), h=rng.standard_normal((k, 2)),
@@ -620,6 +620,14 @@ class TestRun:
             run(cfg)
 
 
+    def test_algorithms_ignore_inner_loop_knobs_they_do_not_read(self):
+        # dsbo reads neither knob; dsgd has no correction term, so no corr_depth
+        odd = DbsaConfig(eta_c=0.0, corr_depth=-1)
+        check_run(quad_config(dbsa=odd))
+        check_run(quad_config(algorithm="dsgd", dbsa=dataclasses.replace(odd, eta_c=1.0),
+                              problem=ProblemConfig(family="policy-eval")))
+
+
 # Runs the RunConfig given as JSON in argv[1] and prints its CSV's SHA-1.
 _SHA1_SCRIPT = """
 import hashlib, json, sys
@@ -691,6 +699,51 @@ class TestThreadSettings:
         assert re.fullmatch(r"[0-9a-f]{40}", one)
         assert one == two
         assert one == hashlib.sha1(trace_to_csv(run(cfg)).encode()).hexdigest()
+
+
+class _ReadLog:
+    """A ProblemConfig stand-in that records the name of each field read."""
+
+    def __init__(self, cfg):
+        self._cfg = cfg
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+class TestBuildProblem:
+    # README "Config schema" lists the same fields per family
+    FIELDS = {
+        "quadratic": {"family", "seed", "d_x", "d_y", "sigma_f", "sigma_g", "mu_g", "l_g",
+                      "heterogeneity", "kappa_g"},
+        "policy-eval": {"family", "seed", "n_states", "feat_dim", "discount", "lam", "sigma_r",
+                        "homogeneous", "exact_oracle"},
+        "hyperopt": {"family", "seed", "n_points", "dim", "reg_floor", "minibatch",
+                     "val_fraction", "data_path"},
+    }
+
+    @pytest.mark.parametrize("family", FIELDS)
+    def test_each_family_reads_its_fields(self, family):
+        log = _ReadLog(ProblemConfig(family=family, n_states=8, n_points=40))
+        build_problem(log, 3)
+        assert log.read == self.FIELDS[family]
+
+    def test_every_config_field_is_read_by_some_family(self):
+        assert set().union(*self.FIELDS.values()) == {
+            f.name for f in dataclasses.fields(ProblemConfig)}
+
+    def test_unknown_family_message(self):
+        with pytest.raises(ConfigError) as exc:
+            build_problem(ProblemConfig(family="lasso"), 3)
+        assert str(exc.value) == ("unknown problem family 'lasso' "
+                                  "(expected one of ('quadratic', 'policy-eval', 'hyperopt'))")
+
+    def test_zero_kappa_g_derives_from_noise_headroom(self):
+        derived = build_problem(ProblemConfig(), 3).constants.kappa_g
+        sigma_g, d_y = ProblemConfig.sigma_g, ProblemConfig.d_y
+        assert derived == pytest.approx((0.5 - sigma_g * math.sqrt((d_y + 1) / 2)) / 1.5)
 
 
 class TestHyperoptDataFile:

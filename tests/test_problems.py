@@ -14,15 +14,14 @@ from dsbo import (
     DataFormatError,
     HyperoptBilevel,
     PolicyEvalBilevel,
+    ProblemConfig,
     ProblemConstants,
     QuadraticBilevel,
     Recorder,
     StochasticSample,
+    build_problem,
     densify,
     init_agents,
-    make_policy_eval,
-    make_quadratic,
-    make_synthetic_hyperopt,
     parse_libsvm,
     split_partition,
     stream,
@@ -109,7 +108,7 @@ class TestQuadraticFamily:
         # returned Hessian stack at once (plus the small fields); out of
         # place it peaked at four stacks
         k, b, d = 10, 90, 10
-        p = make_quadratic(k, 4, d, seed=2)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=4, d_y=d, seed=2), k)
         rng = np.random.default_rng(0)
         xs, ys = rng.standard_normal((k, 4)), rng.standard_normal((k, d))
         p.sample(range(k), xs, ys, [stream(0, "warm", r) for r in range(k)], b)
@@ -126,7 +125,7 @@ class TestQuadraticFamily:
         assert peak <= 2.2 * stack, (peak, stack)
 
     def test_lower_matches_solve(self):
-        p = make_quadratic(4, 6, 5, seed=2)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=6, d_y=5, seed=2), 4)
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.standard_normal(6)
@@ -137,7 +136,7 @@ class TestQuadraticFamily:
             assert np.allclose(y, expect, atol=1e-10)
 
     def test_inner_gradient_zero_at_solution(self):
-        p = make_quadratic(3, 4, 4, seed=5)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=4, d_y=4, seed=5), 3)
         rng = np.random.default_rng(1)
         for _ in range(5):
             x = rng.standard_normal(4)
@@ -145,7 +144,7 @@ class TestQuadraticFamily:
             assert np.abs(grad).max() < 1e-8
 
     def test_hypergrad_matches_finite_differences(self):
-        p = make_quadratic(3, 5, 4, seed=7)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=5, d_y=4, seed=7), 3)
         rng = np.random.default_rng(2)
         for _ in range(5):
             x = rng.standard_normal(5)
@@ -154,13 +153,14 @@ class TestQuadraticFamily:
             assert np.linalg.norm(fd - exact) / max(np.linalg.norm(exact), 1e-12) < 1e-5
 
     def test_optimum_is_stationary(self):
-        p = make_quadratic(3, 5, 4, seed=7)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=5, d_y=4, seed=7), 3)
         x_star, f_star = p.optimum()
         assert np.abs(p.exact_hypergrad(x_star)).max() < 1e-8
         assert p.objective(x_star) == pytest.approx(f_star)
 
     def test_agent_means_exact(self):
-        p = make_quadratic(5, 4, 4, seed=3, heterogeneity=2.0)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=4, d_y=4, seed=3,
+                                        heterogeneity=2.0), 5)
         gx = np.mean([draw(p, a, np.zeros(4), np.zeros(4),
                                np.random.default_rng(0), 1).gx_f for a in range(5)], axis=0)
         # sigma_f noise is zero-mean but nonzero per draw; compare the
@@ -169,7 +169,8 @@ class TestQuadraticFamily:
                            -p._abar)  # noqa: SLF001 - structural check
 
     def test_k1_heterogeneity_collapses(self):
-        p = make_quadratic(1, 4, 4, seed=3, heterogeneity=5.0)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=4, d_y=4, seed=3,
+                                        heterogeneity=5.0), 1)
         x = np.ones(4)
         sample = draw(p, 0, x, np.zeros(4), np.random.default_rng(0), 1)
         # single agent: a_0 == abar exactly, so the draw is exact plus noise
@@ -177,7 +178,8 @@ class TestQuadraticFamily:
         assert np.abs(sample.gx_f - exact).max() <= p.constants.sigma_f * math.sqrt(3) + 1e-12
 
     def test_zero_noise_draws_are_exact(self):
-        p = make_quadratic(3, 4, 4, seed=11, sigma_f=0.0, sigma_g=0.0)
+        p = build_problem(ProblemConfig(family="quadratic", d_x=4, d_y=4, seed=11, sigma_f=0.0,
+                                        sigma_g=0.0), 3)
         x, y = np.ones(4), np.full(4, 0.5)
         sm = draw(p, 1, x, y, np.random.default_rng(0), 2)
         assert np.allclose(sm.hyy_g_draws[0], sm.hyy_g_draws[1])
@@ -185,16 +187,19 @@ class TestQuadraticFamily:
 
     def test_sigma_g_too_large_rejected(self):
         with pytest.raises(ConfigError):
-            make_quadratic(2, 3, 8, seed=1, mu_g=0.1, l_g=1.0, sigma_g=0.5)
+            build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=8, seed=1, mu_g=0.1,
+                                        l_g=1.0, sigma_g=0.5), 2)
 
     def test_mu_above_l_rejected(self):
         with pytest.raises(ConfigError):
-            make_quadratic(2, 3, 3, seed=1, mu_g=2.0, l_g=1.0)
+            build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=3, seed=1, mu_g=2.0,
+                                        l_g=1.0), 2)
 
 
 class TestPolicyEval:
     def test_gamma_zero_zero_rewards(self):
-        p = make_policy_eval(2, 8, 3, gamma=0.0, lam=0.5, seed=4)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=8, feat_dim=3, discount=0.0,
+                                        lam=0.5, seed=4), 2)
         # force zero reward means through a fresh instance with the same
         # features: construct directly
         from dsbo import PolicyEvalBilevel
@@ -230,13 +235,15 @@ class TestPolicyEval:
         assert np.allclose(sm.gy_g, np.zeros(4) - 0.9 * phi[nxt] @ x)
 
     def test_optimum_gradient_small(self):
-        p = make_policy_eval(3, 20, 5, gamma=0.5, lam=1.0, seed=6)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=20, feat_dim=5,
+                                        discount=0.5, lam=1.0, seed=6), 3)
         x_star, f_star = p.optimum()
         assert np.linalg.norm(p.exact_hypergrad(x_star)) <= 1e-8
         assert p.objective(x_star) == pytest.approx(f_star)
 
     def test_hypergrad_matches_finite_differences(self):
-        p = make_policy_eval(2, 12, 4, gamma=0.7, lam=1.0, seed=8)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=12, feat_dim=4,
+                                        discount=0.7, lam=1.0, seed=8), 2)
         rng = np.random.default_rng(3)
         for _ in range(5):
             x = rng.standard_normal(4)
@@ -245,7 +252,8 @@ class TestPolicyEval:
             assert np.linalg.norm(fd - exact) / np.linalg.norm(exact) < 1e-5
 
     def test_unit_inner_curvature(self):
-        p = make_policy_eval(2, 10, 3, gamma=0.5, lam=1.0, seed=9)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=10, feat_dim=3,
+                                        discount=0.5, lam=1.0, seed=9), 2)
         c = p.constants
         assert (c.mu_g, c.l_g, c.kappa_g) == (1.0, 1.0, 1.0)
         sm = draw(p, 0, np.zeros(3), np.zeros(10), np.random.default_rng(0), 2)
@@ -253,17 +261,20 @@ class TestPolicyEval:
 
     def test_gamma_one_rejected(self):
         with pytest.raises(ConfigError):
-            make_policy_eval(2, 5, 2, gamma=1.0, lam=1.0, seed=1)
+            build_problem(ProblemConfig(family="policy-eval", n_states=5, feat_dim=2, discount=1.0,
+                                        lam=1.0, seed=1), 2)
         with pytest.raises(ConfigError):
-            make_policy_eval(2, 5, 2, gamma=0.5, lam=0.0, seed=1)
+            build_problem(ProblemConfig(family="policy-eval", n_states=5, feat_dim=2, discount=0.5,
+                                        lam=0.0, seed=1), 2)
 
     def test_homogeneous_instances_share_rewards(self):
-        p = make_policy_eval(4, 6, 3, gamma=0.5, lam=1.0, seed=10, homogeneous=True)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=6, feat_dim=3, discount=0.5,
+                                        lam=1.0, seed=10, homogeneous=True), 4)
         g0 = p.exact_gradients(np.ones(3), np.zeros(6))
         # all agents' deterministic targets coincide: sample with exact
         # oracle and compare across agents
-        q = make_policy_eval(4, 6, 3, gamma=0.5, lam=1.0, seed=10, homogeneous=True,
-                             exact_oracle=True)
+        q = build_problem(ProblemConfig(family="policy-eval", n_states=6, feat_dim=3, discount=0.5,
+                                        lam=1.0, seed=10, homogeneous=True, exact_oracle=True), 4)
         rng = np.random.default_rng(0)
         draws = [draw(q, a, np.ones(3), np.zeros(6), rng, 1).gy_g for a in range(4)]
         for d in draws[1:]:
@@ -271,7 +282,8 @@ class TestPolicyEval:
         assert np.allclose(g0.gy_g, draws[0])
 
     def test_compositional_interface(self):
-        p = make_policy_eval(2, 6, 3, gamma=0.5, lam=1.0, seed=12, exact_oracle=True)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=6, feat_dim=3, discount=0.5,
+                                        lam=1.0, seed=12, exact_oracle=True), 2)
         x = np.ones(3)
         val = p.comp_value([0], x[None], [np.random.default_rng(0)])[0]
         assert val.shape == (p.comp_dim,)
@@ -292,7 +304,8 @@ class TestPolicyEval:
         # next-state features and row-sized temporaries; the (R, n, n)
         # comparison cube of a float next-state search peaked 197 KB
         k, n = 20, 50
-        p = make_policy_eval(k, n, 5, gamma=0.5, lam=1.0, seed=7)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=n, feat_dim=5, discount=0.5,
+                                        lam=1.0, seed=7), k)
         rng = np.random.default_rng(0)
         agents = np.arange(k)
         xs, ys = rng.standard_normal((k, 5)), rng.standard_normal((k, n))
@@ -315,7 +328,8 @@ class TestPolicyEval:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            p = make_policy_eval(k, n, 5, 0.5, 1.0, seed=7)
+            p = build_problem(ProblemConfig(family="policy-eval", n_states=n, feat_dim=5,
+                                            discount=0.5, lam=1.0, seed=7), k)
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -325,7 +339,8 @@ class TestPolicyEval:
 
     def test_record_runs_no_dense_solve(self, monkeypatch):
         # the exact inner Hessian is the identity, so the family skips the solve
-        p = make_policy_eval(3, 20, 4, gamma=0.6, lam=1.0, seed=13)
+        p = build_problem(ProblemConfig(family="policy-eval", n_states=20, feat_dim=4,
+                                        discount=0.6, lam=1.0, seed=13), 3)
         x_star, f_star = p.optimum()
         state = init_agents(p, b=2)
         recorder = Recorder(p, cadence=1, t_total=2, x_star=x_star, f_star=f_star)
@@ -448,9 +463,10 @@ class TestPolicyEvalNextStates:
 
 
 @pytest.mark.parametrize("problem", [
-    make_quadratic(3, 4, 5, seed=21),
-    make_policy_eval(3, 20, 4, gamma=0.6, lam=1.0, seed=13),
-    make_synthetic_hyperopt(3, 40, 4, seed=5),
+    build_problem(ProblemConfig(family="quadratic", d_x=4, d_y=5, seed=21), 3),
+    build_problem(ProblemConfig(family="policy-eval", n_states=20, feat_dim=4, discount=0.6,
+                                lam=1.0, seed=13), 3),
+    build_problem(ProblemConfig(family="hyperopt", n_points=40, dim=4, seed=5), 3),
 ], ids=["quadratic", "policy-eval", "hyperopt"])
 def test_exact_hypergrad_equals_solve_form(problem):
     # a family's own inner solve must give the dense solve's bits
@@ -483,7 +499,7 @@ class TestHyperopt:
                            atol=1e-12)
 
     def test_hessian_matches_finite_difference_of_inner_grad(self):
-        prob = make_synthetic_hyperopt(2, 30, 3, seed=3)
+        prob = build_problem(ProblemConfig(family="hyperopt", n_points=30, dim=3, seed=3), 2)
         x = np.zeros(3)
         y = np.full(3, 0.2)
         exact = prob.exact_gradients(x, y)
@@ -496,7 +512,7 @@ class TestHyperopt:
             assert np.allclose(col, exact.hyy_g[:, i], atol=1e-5)
 
     def test_inner_solver_reaches_stationarity(self):
-        prob = make_synthetic_hyperopt(3, 40, 4, seed=5)
+        prob = build_problem(ProblemConfig(family="hyperopt", n_points=40, dim=4, seed=5), 3)
         x = np.linspace(-1, 1, 4)
         y = prob.exact_lower(x)
         assert np.linalg.norm(prob.exact_gradients(x, y).gy_g) < 1e-10
@@ -521,7 +537,7 @@ class TestHyperopt:
                     scale *= 0.5
             raise AssertionError("reference solve did not converge")
 
-        prob = make_synthetic_hyperopt(3, 60, 4, seed=5)
+        prob = build_problem(ProblemConfig(family="hyperopt", n_points=60, dim=4, seed=5), 3)
         calls = []
         grad = prob._full_inner_grad
 
@@ -544,7 +560,7 @@ class TestHyperopt:
             assert len(calls) == reference_calls - iters + 1
 
     def test_hypergrad_matches_finite_differences(self):
-        prob = make_synthetic_hyperopt(2, 30, 3, seed=7)
+        prob = build_problem(ProblemConfig(family="hyperopt", n_points=30, dim=3, seed=7), 2)
         rng = np.random.default_rng(4)
         for _ in range(3):
             x = rng.standard_normal(3)
@@ -553,7 +569,8 @@ class TestHyperopt:
             assert np.linalg.norm(fd - exact) / np.linalg.norm(exact) < 1e-5
 
     def test_regularizer_floor_keeps_convexity(self):
-        prob = make_synthetic_hyperopt(2, 20, 3, seed=9, reg_floor=1e-3)
+        prob = build_problem(ProblemConfig(family="hyperopt", n_points=20, dim=3, seed=9,
+                                           reg_floor=1e-3), 2)
         x = np.full(3, -40.0)  # softplus underflows to 0
         sm = draw(prob, 0, x, np.zeros(3), np.random.default_rng(0), 1)
         assert np.linalg.eigvalsh(sm.hyy_g_draws[0]).min() >= 1e-3 - 1e-15
@@ -569,7 +586,7 @@ class TestHyperopt:
             HyperoptBilevel(np.ones((3, 2)), np.ones(2), [[0], [1]], [[0], [1]])
 
     def test_optimum_not_closed_form(self):
-        prob = make_synthetic_hyperopt(2, 20, 3, seed=11)
+        prob = build_problem(ProblemConfig(family="hyperopt", n_points=20, dim=3, seed=11), 2)
         assert prob.optimum() is None
 
     @given(
@@ -615,7 +632,7 @@ class TestHyperopt:
     def test_one_inner_solve_per_exact_evaluation(self, monkeypatch):
         from scipy import optimize
 
-        prob = make_synthetic_hyperopt(2, 30, 3, seed=7)
+        prob = build_problem(ProblemConfig(family="hyperopt", n_points=30, dim=3, seed=7), 2)
         solves = []
         newton = prob.exact_lower
 
@@ -748,13 +765,17 @@ class TestOracleMoments:
             assert gap <= n_se * se + 1e-12, f"{f}: gap {gap:.3e} > {n_se} SE {se:.3e}"
 
     def test_quadratic(self):
-        self.run_moment_check(make_quadratic(2, 4, 5, seed=21))
+        self.run_moment_check(build_problem(ProblemConfig(family="quadratic", d_x=4, d_y=5,
+                                                          seed=21), 2))
 
     def test_policy_eval(self):
-        self.run_moment_check(make_policy_eval(2, 10, 3, gamma=0.6, lam=1.0, seed=22))
+        self.run_moment_check(build_problem(ProblemConfig(family="policy-eval", n_states=10,
+                                                          feat_dim=3, discount=0.6, lam=1.0,
+                                                          seed=22), 2))
 
     def test_hyperopt(self):
-        self.run_moment_check(make_synthetic_hyperopt(2, 24, 3, seed=23))
+        self.run_moment_check(build_problem(ProblemConfig(family="hyperopt", n_points=24, dim=3,
+                                                          seed=23), 2))
 
 
 def _pooled(datasets):
@@ -783,11 +804,14 @@ def _unequal_hyperopt(minibatch=3, dim=4):
 # spectral ball; quadratic kappa_g = 0.2 leaves a Frobenius budget of 0.2,
 # which sigma_g = 0.2 noise often exceeds.
 BATCH_CASES = {
-    "policy-eval": (make_policy_eval(3, 8, 3, gamma=0.6, lam=1.0, seed=3), 1.0, None),
+    "policy-eval": (build_problem(ProblemConfig(family="policy-eval", n_states=8, feat_dim=3,
+                                                discount=0.6, lam=1.0, seed=3), 3), 1.0, None),
     "policy-eval-exact": (
-        make_policy_eval(3, 8, 3, gamma=0.6, lam=1.0, seed=3, exact_oracle=True), 1.0, None),
+        build_problem(ProblemConfig(family="policy-eval", n_states=8, feat_dim=3, discount=0.6,
+                                    lam=1.0, seed=3, exact_oracle=True), 3), 1.0, None),
     "quadratic-clip": (
-        make_quadratic(3, 3, 5, seed=13, sigma_f=0.2, sigma_g=0.2, kappa_g=0.2),
+        build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=5, seed=13, sigma_f=0.2,
+                                    sigma_g=0.2, kappa_g=0.2), 3),
         1.0, "dsbo.problems.quadratic"),
     "hyperopt-mb3": (_unequal_hyperopt(), 60.0, "dsbo.problems.hyperopt"),
 }
@@ -868,9 +892,11 @@ class TestBatchedSample:
 # floor, and x = 60 lifts softplus past its ceiling, so those rows clip;
 # policy-eval draws the identity.
 SPECTRAL_CASES = {
-    "quadratic": (make_quadratic(2, 3, 6, seed=13, sigma_g=0.12), 0.0, None),
+    "quadratic": (build_problem(ProblemConfig(family="quadratic", d_x=3, d_y=6, seed=13,
+                                              sigma_g=0.12), 2), 0.0, None),
     "hyperopt": (_unequal_hyperopt(), 60.0, "dsbo.problems.hyperopt"),
-    "policy-eval": (make_policy_eval(3, 8, 3, gamma=0.6, lam=1.0, seed=3), 0.0, None),
+    "policy-eval": (build_problem(ProblemConfig(family="policy-eval", n_states=8, feat_dim=3,
+                                                discount=0.6, lam=1.0, seed=3), 3), 0.0, None),
 }
 
 
